@@ -68,24 +68,39 @@ def load_spec_file(path: str) -> tuple[ProblemSpec, int, dict]:
             [Fraction(c) for c in raw["P"]],
             [(Fraction(p["alpha"]), int(p["s"])) for p in raw["points"]],
         )
+        caps = dict(raw.get("caps", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFileError(f"malformed spec file {path}: {exc}") from exc
-    precision_bits = int(raw.get("precision_bits", 256))
-    caps = dict(raw.get("caps", {}))
+    precision_bits = _positive_int(raw.get("precision_bits", 256), "precision_bits")
     caps.setdefault("precision_cap", DEFAULT_PRECISION_CAP)
     caps.setdefault("retry_cap", 8)
     env_cap = os.environ.get("QFORMS_PRECISION_CAP")
     if env_cap is not None:
-        caps["precision_cap"] = int(env_cap)
+        caps["precision_cap"] = env_cap
+    for key in ("precision_cap", "retry_cap"):
+        caps[key] = _positive_int(caps[key], f"caps.{key}")
     return spec, precision_bits, caps
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+def _positive_int(value, name: str) -> int:
+    """A JSON integer (not a bool) or a decimal string, at least 1."""
+    if isinstance(value, str) and value.strip().isdecimal():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SpecFileError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
-def _parse_rational_list(text: str) -> list[Fraction]:
-    return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
+def _parse_vector(text: str, parse, flag: str, length: Optional[int] = None) -> list:
+    """Comma-separated entries of flag; a non-empty list of the given length."""
+    try:
+        vec = [parse(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecFileError(f"{flag}: cannot parse {text!r}: {exc}") from exc
+    if not vec or (length is not None and len(vec) != length):
+        want = "at least 1" if length is None else str(length)
+        raise SpecFileError(f"{flag} needs {want} entries, got {len(vec)}")
+    return vec
 
 
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -97,7 +112,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     defaults = {
         "out": argparse.SUPPRESS if suppress else None,
         "csv": argparse.SUPPRESS if suppress else None,
-        "threads": argparse.SUPPRESS if suppress else (os.cpu_count() or 1),
+        "threads": argparse.SUPPRESS if suppress else None,
     }
     parser.add_argument(
         "--out", default=defaults["out"],
@@ -109,7 +124,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     )
     parser.add_argument(
         "--threads", type=int, default=defaults["threads"],
-        help="parallel scan width; results are independent of this value",
+        help="accepted for compatibility; has no effect (scans run serially)",
     )
 
 
@@ -164,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("specfile")
 
     p = command("certify", "certified lower bound for a vector A")
-    p.add_argument("--A", required=True, help="integer vector 'a0,a1,...'")
+    p.add_argument("--A", required=True, help="integer vector 'a0,a1,...'; --A=-23,14 if a0 < 0")
     p.add_argument("--l-override", type=int, default=None)
     p.add_argument("specfile")
 
@@ -224,9 +239,9 @@ def _dispatch(args, spec: ProblemSpec, precision_bits: int, caps: dict):
         return report.to_json(), "pass" if report.all_passed else "fail", None
 
     if args.command == "bounds":
-        l_list = _parse_int_list(args.l_list)
+        l_list = _parse_vector(args.l_list, int, "--l-list")
         if args.n_list:
-            n_list = _parse_int_list(args.n_list)
+            n_list = _parse_vector(args.n_list, int, "--n-list")
         else:
             n_list = sorted(
                 set(range(spec.S * min(l_list), args.n_max + 1, args.n_step))
@@ -247,16 +262,18 @@ def _dispatch(args, spec: ProblemSpec, precision_bits: int, caps: dict):
         if (args.omega is None) == (args.omega_from_f is None):
             raise SpecFileError("provide exactly one of --omega / --omega-from-f")
         if args.omega is not None:
-            omega = _parse_rational_list(args.omega)
+            omega = _parse_vector(args.omega, Fraction, "--omega", spec.n_vars)
         else:
-            rest = _parse_rational_list(args.omega_from_f)
+            rest = _parse_vector(
+                args.omega_from_f, Fraction, "--omega-from-f", spec.n_vars - 1
+            )
             omega = series.omega_from_vector(spec, rest, precision_bits)
         verdict_obj = verifier.nonvanishing_scan(spec, omega, args.l0, args.n0, policy)
         verdict = "undecided" if verdict_obj.undecided else "pass"
         return verdict_obj.to_json(), verdict, None
 
     if args.command == "certify":
-        A = _parse_int_list(args.A)
+        A = _parse_vector(args.A, int, "--A", spec.n_vars)
         cert = measure.certify_lower_bound(
             spec,
             A,
@@ -276,7 +293,6 @@ def _dispatch(args, spec: ProblemSpec, precision_bits: int, caps: dict):
             seed=args.seed,
             precision_bits=precision_bits,
             precision_cap=caps["precision_cap"],
-            threads=args.threads,
         )
         return report.to_json(), "pass", report.csv_rows()
 

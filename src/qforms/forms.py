@@ -7,8 +7,7 @@ ProblemSpec.var_indices; forms are dense coefficient tuples of length
 The v-sequence is produced by the first-order recurrence
 v_n = P(q^n) v_{n-1} + u_n and memoized per spec; the operator products are
 expanded once per (l, delta) into a shift polynomial and applied as a dot
-product over the cached window, with the factor-by-factor path kept as a
-cross-checking oracle.
+product over the cached window.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .errors import DomainViolation
 from .problem import ProblemSpec, clearing_denominator
@@ -58,6 +57,7 @@ class IntegerLinearForm:
 
 
 FormLike = Union[LinearForm, IntegerLinearForm]
+VProvider = Callable[[ProblemSpec, int], LinearForm]
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,6 @@ class _SpecState:
         self.p_values: list[Fraction] = [Fraction(1)]  # slot n holds P(q^n); slot 0 unused
         self.operator_polys: dict[tuple[int, int], OperatorPoly] = {}
         self.clearing_D = clearing_denominator(spec)
-        self.dominance_k: int | None = None
         self.value_tables: dict = {}
 
 
@@ -183,33 +182,25 @@ def operator_poly(spec: ProblemSpec, l: int, delta: int = 0) -> OperatorPoly:
         return poly
 
 
+def _apply_operator(
+    spec: ProblemSpec, l: int, delta: int, index: int, v_at: VProvider
+) -> LinearForm:
+    """The (l, delta) operator product applied to the v-sequence at index,
+    with v_i read from v_at(spec, i). The B^0 coefficient is always 1."""
+    op = operator_poly(spec, l, delta)
+    acc = v_at(spec, index)
+    for t in range(1, len(op.coeffs)):
+        c = op.coeffs[t]
+        if c != 0:
+            acc = acc + v_at(spec, index - t).scale(c)
+    return acc
+
+
 def vl_form(spec: ProblemSpec, l: int, n: int) -> LinearForm:
     """v_{l,n}: the order-l operator product applied to the v-sequence at n."""
     if n < spec.S * l:
         raise DomainViolation(f"v_(l,n) requires n >= S*l = {spec.S * l}, got n = {n}")
-    op = operator_poly(spec, l, 0)
-    acc = v_form(spec, n)
-    for t in range(1, len(op.coeffs)):
-        c = op.coeffs[t]
-        if c != 0:
-            acc = acc + v_form(spec, n - t).scale(c)
-    return acc
-
-
-def vl_form_nested(spec: ProblemSpec, l: int, n: int) -> LinearForm:
-    """Oracle path: apply each difference operator factor one at a time."""
-    if n < spec.S * l:
-        raise DomainViolation(f"v_(l,n) requires n >= S*l = {spec.S * l}, got n = {n}")
-    window = [v_form(spec, i) for i in range(n - spec.S * l, n + 1)]
-    for k in range(1, l + 1):
-        for alpha, s in spec.points:
-            a = alpha * spec.q ** (-k)
-            for _ in range(s):
-                window = [
-                    window[i] - window[i - 1].scale(a) for i in range(1, len(window))
-                ]
-    assert len(window) == 1
-    return window[0]
+    return _apply_operator(spec, l, 0, n, v_form)
 
 
 def w_form(spec: ProblemSpec, l: int, n: int) -> IntegerLinearForm:
@@ -224,9 +215,8 @@ def w_form(spec: ProblemSpec, l: int, n: int) -> IntegerLinearForm:
     ints = []
     for c in base.coeffs:
         scaled = c * scale
-        assert scaled.denominator == 1, (
-            f"w_(l={l},n={n}) coefficient {scaled} is not integral"
-        )
+        if scaled.denominator != 1:
+            raise AssertionError(f"w_(l={l},n={n}) coefficient {scaled} is not integral")
         ints.append(scaled.numerator)
     return IntegerLinearForm(tuple(ints))
 

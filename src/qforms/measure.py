@@ -29,7 +29,7 @@ from .errors import (
 from .forms import w_form
 from .problem import MeasureParams, ProblemSpec, measure_params
 from .series import OmegaVector, evaluate_form, lambda_enclosure, omega_from_vector
-from .util import PrecisionPolicy, parallel_map
+from .util import PrecisionPolicy
 from .verifier import log_of_enclosure
 
 HALF = Fraction(1, 2)
@@ -163,7 +163,8 @@ def certify_lower_bound(
                 mag = w_omega.abs()
                 if mag.hi <= HALF:
                     x0c = wf.x0
-                    assert x0c != 0, "x0 coefficient vanished despite certification"
+                    if x0c == 0:
+                        raise AssertionError("x0 coefficient vanished despite certification")
                     bound = (abs(wA) - HALF) / abs(x0c)
                     cross = _refined_lambda_abs(spec, A, policy)
                     return Certificate(A, l, n, wA, w_omega, x0c, bound, cross)
@@ -280,6 +281,10 @@ def exponent_scan(
     can minimize |Lambda|, and both neighbors are tested. Exhaustive
     enumeration is allowed for 1 + dS <= 3; larger dimensions must use the
     seeded random strategy.
+
+    threads is accepted for compatibility and has no effect: heights are
+    scanned serially, since the work is pure Python and a thread pool only
+    adds contention for the interpreter lock.
     """
     if H_max < 2:
         raise ValueError("H_max must be at least 2")
@@ -303,6 +308,7 @@ def exponent_scan(
         heights.append(H_max)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    policy = PrecisionPolicy(precision_bits, precision_cap)
 
     def scan_height(H: int) -> ScanRow:
         if strategy == "exhaustive":
@@ -318,22 +324,24 @@ def exponent_scan(
                 key = (lam.hi, (a0,) + rest)
                 if best is None or key < (best[0], best[1]):
                     best = (lam.hi, (a0,) + rest, lam)
-        assert best is not None
+        if best is None:
+            raise AssertionError(f"empty height shell at H = {H}")
         _, best_A, lam = best
-        bits = precision_bits
-        while not lam.excludes_zero():
-            if bits >= precision_cap:
-                raise PrecisionCapExceeded(
-                    f"|Lambda| still straddles zero at H = {H}, {bits} bits"
-                )
-            bits = min(2 * bits, precision_cap)
-            lam = lambda_enclosure(spec, best_A, bits).abs()
+        for bits in policy.ladder():
+            if bits != precision_bits:
+                lam = lambda_enclosure(spec, best_A, bits).abs()
+            if lam.excludes_zero():
+                break
+        else:
+            raise PrecisionCapExceeded(
+                f"|Lambda| still straddles zero at H = {H}, {bits} bits"
+            )
         log_lam = log_of_enclosure(lam)
         log_H = log_enclosure(H, 48)
         exponent = -log_lam / log_H
         return ScanRow(H, best_A, lam, exponent)
 
-    rows = parallel_map(scan_height, heights, threads)
+    rows = [scan_height(H) for H in heights]
 
     max_row = max(rows, key=lambda r: (r.empirical_exponent.hi, r.H))
     fitted_C = Fraction(0)

@@ -23,8 +23,7 @@ from .errors import (
     QNotAdmissible,
     UndecidableAtCap,
 )
-
-DEFAULT_PRECISION_CAP = 1 << 14
+from .util import DEFAULT_PRECISION_CAP, PrecisionPolicy
 
 
 @dataclass(frozen=True)
@@ -91,6 +90,25 @@ class ProblemSpec:
         return 1 if self.P.is_monomial() else 0
 
     @cached_property
+    def dominance_index(self) -> int:
+        """Least k* >= 1 with sum_{nu<d} |p_nu| |q|^(nu k) <= |p_d| |q|^(d k) / 2
+        for k = k*; monotonicity extends the bound to every k >= k*.
+
+        At every such k the leading term strictly dominates, so P(q^k) != 0.
+        """
+        absq = abs(self.q)
+        lead = abs(self.P.leading)
+        k = 1
+        while True:
+            lhs = sum(
+                abs(c) * absq ** (nu * k)
+                for nu, c in enumerate(self.P.coefficients[:-1])
+            )
+            if 2 * lhs <= lead * absq ** (self.d * k):
+                return k
+            k += 1
+
+    @cached_property
     def var_indices(self) -> tuple[tuple[int, int, int], ...]:
         """Canonical (j, k, sigma) order for the non-x0 variables; j is 1-based."""
         out = []
@@ -115,9 +133,6 @@ class ProblemSpec:
     def point_arg(self, j: int, k: int) -> Fraction:
         """The evaluation point alpha_j * q^k."""
         return self.points[j - 1][0] * self.q ** k
-
-    def p_at_qn(self, n: int) -> Fraction:
-        return self.P(self.q ** n)
 
     def to_json(self) -> dict:
         return {
@@ -169,24 +184,6 @@ def q_power_exponent(x: Fraction, q: Fraction) -> Optional[int]:
     return t if q ** t == x else None
 
 
-def _p_nonvanishing_bound(P: PolynomialQ, q: Fraction) -> int:
-    """Least N such that |p_d| |q|^(dn) > sum_{nu<d} |p_nu| |q|^(nu n) for all n >= N.
-
-    The ratio of the two sides is strictly monotone in n, so dominance at N
-    forces it for every larger n.
-    """
-    absq = abs(q)
-    d = P.degree
-    lead = abs(P.leading)
-    n = 1
-    while True:
-        lhs = lead * absq ** (d * n)
-        rhs = sum(abs(c) * absq ** (nu * n) for nu, c in enumerate(P.coefficients[:-1]))
-        if lhs > rhs:
-            return n
-        n += 1
-
-
 def validate_spec(
     q_num: int,
     q_den: int,
@@ -224,10 +221,10 @@ def validate_spec(
         if not isinstance(s, int) or s < 1:
             raise InvalidSpec("multiplicities s_j must be positive integers")
         pts.append((alpha, int(s)))
+    spec = ProblemSpec(q1, q2, P, tuple(pts))
 
     # P(q^n) != 0 for all n >= 1, via the dominance bound
-    n_star = _p_nonvanishing_bound(P, q)
-    for n in range(1, n_star + 1):
+    for n in range(1, spec.dominance_index + 1):
         if P(q ** n) == 0:
             raise PRootAtQPower(n)
 
@@ -246,7 +243,7 @@ def validate_spec(
             if t is not None and t >= 1:
                 raise Condition2Violated(j, t)
 
-    return ProblemSpec(q1, q2, P, tuple(pts))
+    return spec
 
 
 def clearing_denominator(spec: ProblemSpec) -> int:
@@ -329,23 +326,18 @@ def measure_params(
     (inapplicable); otherwise precision doubles up to the cap, and a tie
     at the cap raises UndecidableAtCap rather than guessing.
     """
-    pb = precision_bits
-    while True:
+    for pb in PrecisionPolicy(precision_bits, precision_cap).ladder():
         gamma = gamma_enclosure(spec, pb)
         M = m_enclosure(spec, pb)
         prod = M * gamma
-        if prod.hi < 1:
-            applicable = True
+        if prod.hi < 1 or prod.lo >= 1:
             break
-        if prod.lo >= 1:
-            applicable = False
-            break
-        if pb >= precision_cap:
-            raise UndecidableAtCap(
-                f"gamma vs 1/M not separated at {pb} bits (M*gamma in "
-                f"[{prod.lo}, {prod.hi}])"
-            )
-        pb = min(2 * pb, precision_cap)
+    else:
+        raise UndecidableAtCap(
+            f"gamma vs 1/M not separated at {pb} bits (M*gamma in "
+            f"[{prod.lo}, {prod.hi}])"
+        )
+    applicable = prod.hi < 1
 
     mu = None
     if applicable:

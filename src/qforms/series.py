@@ -22,6 +22,7 @@ from .enclosure import Enclosure
 from .errors import PrecisionCapExceeded
 from .forms import (
     FormLike,
+    VProvider,
     evaluate_exact,
     falling_factorial,
     p_at,
@@ -34,27 +35,6 @@ from .problem import ProblemSpec
 _MAX_SERIES_TERMS = 1_000_000
 
 
-def dominance_index(spec: ProblemSpec) -> int:
-    """Least k* >= 1 with sum_{nu<d} |p_nu| |q|^(nu k) <= |p_d| |q|^(d k) / 2
-    for k = k*; monotonicity extends the bound to every k >= k*."""
-    st = _state(spec)
-    with st.lock:
-        if st.dominance_k is not None:
-            return st.dominance_k
-        absq = abs(spec.q)
-        lead = abs(spec.P.leading)
-        k = 1
-        while True:
-            lhs = sum(
-                abs(c) * absq ** (nu * k)
-                for nu, c in enumerate(spec.P.coefficients[:-1])
-            )
-            if 2 * lhs <= lead * absq ** (spec.d * k):
-                st.dominance_k = k
-                return k
-            k += 1
-
-
 def f_derivative_enclosure(
     spec: ProblemSpec, j: int, k: int, sigma: int, precision_bits: int
 ) -> Enclosure:
@@ -65,7 +45,7 @@ def f_derivative_enclosure(
     absz = abs(z)
     absq = abs(spec.q)
     lead = abs(spec.P.leading)
-    kstar = dominance_index(spec)
+    kstar = spec.dominance_index
     threshold = Fraction(1, 1 << (precision_bits + 1))
 
     total = Fraction(0)
@@ -216,11 +196,19 @@ def functional_equation_residual(
     this a genuine cross-check of the form recurrence rather than a
     restatement of the value recurrence.
     """
+    return _residuals(spec, omega_rest, omega0, N, v_form)
+
+
+def _residuals(
+    spec: ProblemSpec, omega_rest: Sequence, omega0, N: int, v_at: VProvider
+) -> list[Fraction]:
+    """functional_equation_residual with v_n read from v_at(spec, n), the
+    hook through which check_identities substitutes a v-engine."""
     om0 = Fraction(omega0)
     rest = tuple(Fraction(c) for c in omega_rest)
     vec = (om0,) + rest
     uvec = (Fraction(0),) + rest
-    v_vals = [evaluate_exact(v_form(spec, n), vec) for n in range(N + 1)]
+    v_vals = [evaluate_exact(v_at(spec, n), vec) for n in range(N + 1)]
     u_vals = [evaluate_exact(u_form(spec, n), uvec) for n in range(N + 1)]
     p = spec.P.coefficients
     q = spec.q

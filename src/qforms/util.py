@@ -1,17 +1,13 @@
-"""Shared helpers: seeded rational test data, precision policy, parallel map."""
+"""Shared helpers: seeded rational test data and the precision policy."""
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable
 
 DEFAULT_PRECISION_CAP = 1 << 14
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -20,6 +16,10 @@ class PrecisionPolicy:
 
     start_bits: int = 256
     cap_bits: int = DEFAULT_PRECISION_CAP
+
+    def __post_init__(self):
+        if self.start_bits < 1 or self.cap_bits < 1:  # a ladder at 0 never climbs
+            raise ValueError(f"precision bits must be >= 1: {self.start_bits}, {self.cap_bits}")
 
     def ladder(self) -> Iterable[int]:
         bits = self.start_bits
@@ -48,14 +48,3 @@ def random_rational_vector(
             continue
         return vec
 
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
-    """Order-preserving map, optionally on a thread pool.
-
-    Results are identical for any thread count: the work items are pure and
-    the output order is fixed by the input order.
-    """
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

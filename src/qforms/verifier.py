@@ -12,12 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .enclosure import Enclosure, log_enclosure
 from .errors import DomainViolation, ZeroOmega
 from .forms import (
     LinearForm,
+    VProvider,
+    _apply_operator,
     expand_shift_factors,
     form_height,
     operator_poly,
@@ -30,14 +32,12 @@ from .forms import (
 from .problem import ProblemSpec
 from .series import (
     OmegaVector,
+    _residuals,
     evaluate_form,
-    functional_equation_residual,
     omega_from_vector,
     v_value_sequence,
 )
 from .util import PrecisionPolicy, random_rational, random_rational_vector
-
-VProvider = Callable[[ProblemSpec, int], LinearForm]
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +135,6 @@ def _check_annihilation(rng: random.Random, trials: int = 20) -> IdentityCheck:
     return IdentityCheck("annihilation", domain, True)
 
 
-def _apply_operator(
-    spec: ProblemSpec, l: int, delta: int, index: int, v_at: VProvider
-) -> LinearForm:
-    """The (l, delta) operator product applied to the v-sequence at index."""
-    op = operator_poly(spec, l, delta)
-    acc = v_at(spec, index).scale(op.coeffs[0])
-    for t in range(1, len(op.coeffs)):
-        if op.coeffs[t] != 0:
-            acc = acc + v_at(spec, index - t).scale(op.coeffs[t])
-    return acc
-
-
 def _check_main_relation(
     spec: ProblemSpec, l_max: int, v_at: VProvider
 ) -> IdentityCheck:
@@ -156,7 +144,7 @@ def _check_main_relation(
     q = spec.q
     for l in range(d, l_max + 1):
         for n in range(spec.S * l, spec.S * l + 11):
-            lhs = _vl_from_provider(spec, l, n, v_at).scale(p[d])
+            lhs = _apply_operator(spec, l, 0, n, v_at).scale(p[d])
             rhs = _apply_operator(spec, l, d, n + 1, v_at).scale(q ** (-d * (n + 1)))
             for nu in range(1, d + 1):
                 term = _apply_operator(spec, l, nu, n, v_at).scale(
@@ -173,24 +161,15 @@ def _check_main_relation(
     return IdentityCheck("main_relation", domain, True)
 
 
-def _vl_from_provider(
-    spec: ProblemSpec, l: int, n: int, v_at: VProvider
-) -> LinearForm:
-    return _apply_operator(spec, l, 0, n, v_at)
-
-
 def _check_functional_equation(
     spec: ProblemSpec, series_N: int, rng: random.Random, omega_count: int,
-    v_at: Optional[VProvider],
+    v_at: VProvider,
 ) -> IdentityCheck:
     domain = f"{omega_count} seeded rational omega, degrees 0..{series_N}"
     for trial in range(omega_count):
         omega0 = random_rational(rng)
         rest = random_rational_vector(rng, spec.n_vars - 1)
-        if v_at is None:
-            residuals = functional_equation_residual(spec, rest, omega0, series_N)
-        else:
-            residuals = _residuals_from_provider(spec, rest, omega0, series_N, v_at)
+        residuals = _residuals(spec, rest, omega0, series_N, v_at)
         for n, r in enumerate(residuals):
             if r != 0:
                 return IdentityCheck(
@@ -201,27 +180,6 @@ def _check_functional_equation(
                      "omega0": str(omega0), "rest": [str(c) for c in rest]},
                 )
     return IdentityCheck("functional_equation", domain, True)
-
-
-def _residuals_from_provider(
-    spec: ProblemSpec, rest, omega0: Fraction, N: int, v_at: VProvider
-) -> list[Fraction]:
-    from .forms import evaluate_exact
-
-    vec = (Fraction(omega0),) + tuple(Fraction(c) for c in rest)
-    uvec = (Fraction(0),) + vec[1:]
-    v_vals = [evaluate_exact(v_at(spec, n), vec) for n in range(N + 1)]
-    u_vals = [evaluate_exact(u_form(spec, n), uvec) for n in range(N + 1)]
-    p = spec.P.coefficients
-    q = spec.q
-    out = [v_vals[0] - vec[0] - u_vals[0]]
-    for n in range(1, N + 1):
-        conv = sum(
-            (p[nu] * q ** (nu * n) * v_vals[n - 1] for nu in range(1, spec.d + 1)),
-            start=Fraction(0),
-        )
-        out.append(v_vals[n] - p[0] * v_vals[n - 1] - conv - u_vals[n])
-    return out
 
 
 def check_identities(
@@ -244,13 +202,13 @@ def check_identities(
     if l_max < spec.d:
         raise DomainViolation("l_max must be at least d")
     rng = random.Random(rng_seed)
-    v_at = v_provider if v_provider is not None else (lambda sp, n: v_form(sp, n))
+    v_at = v_provider if v_provider is not None else v_form
     checks = (
         _check_recurrence(spec, n_max, v_at),
         _check_shift_identity(rng),
         _check_annihilation(rng),
         _check_main_relation(spec, l_max, v_at),
-        _check_functional_equation(spec, series_N, rng, omega_count, v_provider),
+        _check_functional_equation(spec, series_N, rng, omega_count, v_at),
     )
     return IdentityReport(checks)
 
@@ -378,7 +336,8 @@ def bounds_report(
     fitted_kappa = Fraction(0)
     for l, n in pairs:
         h = form_height(w_form(spec, l, n))
-        assert h > 0, f"zero height at (l={l}, n={n})"
+        if h <= 0:
+            raise AssertionError(f"zero height at (l={l}, n={n})")
         log_h = log_enclosure(h, 48) / q1_log
         main = Fraction(spec.d * n * n, 2) + Fraction(spec.S * l * l, 2)
         residual = (log_h - main) * Fraction(1, n + 1)
@@ -395,6 +354,7 @@ def bounds_report(
     variants.append(("random", random_rational_vector(rng, dim, nonzero=True)))
 
     shape_shift = (Fraction(spec.S) - Fraction(spec.eps0, spec.d)) / 2
+    policy = PrecisionPolicy(precision_bits, precision_cap)
     smallness_rows = []
     fitted_c: Optional[Fraction] = None
     undecided = 0
@@ -405,12 +365,15 @@ def bounds_report(
             if max_rest == 1
             else log_enclosure(max_rest, 48) / q_log
         )
-        pb = precision_bits
-        omega = omega_from_vector(spec, rest, pb)
+        # one ladder per omega: a precision reached stays for the later pairs
+        ladder = policy.ladder()
+        omega = omega_from_vector(spec, rest, next(ladder))
         for l, n in pairs:
             value = evaluate_form(vl_form(spec, l, n), omega)
-            while not value.abs().excludes_zero() and pb < precision_cap:
-                pb = min(2 * pb, precision_cap)
+            while not value.abs().excludes_zero():
+                pb = next(ladder, None)
+                if pb is None:
+                    break
                 omega = omega_from_vector(spec, rest, pb)
                 value = evaluate_form(vl_form(spec, l, n), omega)
             if not value.abs().excludes_zero():
@@ -499,9 +462,10 @@ def nonvanishing_scan(
 
     if omega.is_zero():
         raise ZeroOmega("omega vector is identically zero")
-    pb = omega.precision_bits
     current = omega
-    while True:
+    for pb in PrecisionPolicy(omega.precision_bits, policy.cap_bits).ladder():
+        if pb != current.precision_bits:
+            current = omega_from_vector(spec, omega.rest, pb)
         for n in window:
             value = evaluate_form(vl_form(spec, l0, n), current)
             if value.excludes_zero():
@@ -512,7 +476,4 @@ def nonvanishing_scan(
                     pb,
                     witness=f"[{value.lo}, {value.hi}]",
                 )
-        if pb >= policy.cap_bits:
-            return NonvanishingVerdict(n0, len(window), None, pb)
-        pb = min(2 * pb, policy.cap_bits)
-        current = omega_from_vector(spec, current.rest, pb)
+    return NonvanishingVerdict(n0, len(window), None, pb)

@@ -7,11 +7,25 @@ from the closed double-sum formula, logs from mpmath at high precision.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from qforms import validate_spec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env(**extra: str) -> dict:
+    """Environment for a fresh interpreter that imports qforms from src/,
+    with no QFORMS_PRECISION_CAP unless given in extra."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("QFORMS_PRECISION_CAP", None)
+    env.update(extra)
+    return env
 
 
 @pytest.fixture(scope="session")
@@ -99,3 +113,19 @@ def oracle_v_coeffs(spec, n: int) -> tuple[F, ...]:
         for t in range(spec.n_vars - 1):
             rest[t] += u[t + 1] * prods[i]
     return tuple(out + rest)
+
+
+def oracle_vl_nested(spec, l: int, n: int) -> tuple[F, ...]:
+    """Coefficient vector of v_(l,n) by applying each difference-operator
+    factor (1 - alpha_j q^-k B) one at a time to the window of oracle v-forms."""
+    window = [oracle_v_coeffs(spec, i) for i in range(n - spec.S * l, n + 1)]
+    for k in range(1, l + 1):
+        for alpha, s in spec.points:
+            a = alpha * spec.q ** (-k)
+            for _ in range(s):
+                window = [
+                    tuple(x - a * y for x, y in zip(window[i], window[i - 1]))
+                    for i in range(1, len(window))
+                ]
+    assert len(window) == 1
+    return window[0]

@@ -1,8 +1,13 @@
 """End-to-end CLI: exit codes, report schema, determinism."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+from conftest import subprocess_env
 from qforms.cli import EXIT_FAIL, EXIT_PASS, EXIT_UNDECIDED, EXIT_USAGE, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -188,3 +193,66 @@ def test_fixture_files_validate(capsys):
     for name in ("fixtureA", "fixtureB", "fixtureC", "fixtureD"):
         code, report = run_cli(capsys, "validate", str(FIXTURES / f"{name}.json"))
         assert code == EXIT_PASS, name
+
+
+def run_cli_process(spec_path, *argv, env_extra=None):
+    """Run the CLI in a fresh interpreter; a hang fails the test by timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "qforms.cli", *argv, spec_path],
+        capture_output=True, text=True, env=subprocess_env(**(env_extra or {})), timeout=30,
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides, env_cap",
+    [
+        pytest.param({"precision_bits": 0}, None, id="precision_bits=0"),
+        pytest.param({"precision_bits": -5}, None, id="precision_bits=-5"),
+        pytest.param({"precision_bits": "abc"}, None, id="precision_bits=abc"),
+        pytest.param({"precision_bits": True}, None, id="precision_bits=true"),
+        pytest.param({"caps": {"precision_cap": 0}}, None, id="precision_cap=0"),
+        pytest.param({"caps": {"precision_cap": "abc"}}, None, id="precision_cap=abc"),
+        pytest.param({"caps": {"retry_cap": 0}}, None, id="retry_cap=0"),
+        pytest.param({"caps": {"retry_cap": False}}, None, id="retry_cap=false"),
+        pytest.param({"caps": 5}, None, id="caps=5"),
+        pytest.param({}, "abc", id="env_cap=abc"),
+        pytest.param({}, "0", id="env_cap=0"),
+        pytest.param({}, "-5", id="env_cap=-5"),
+    ],
+)
+def test_bad_precision_values_exit_3(tmp_path, overrides, env_cap):
+    spec = write_spec(tmp_path, **overrides)
+    env = {} if env_cap is None else {"QFORMS_PRECISION_CAP": env_cap}
+    proc = run_cli_process(spec, "certify", "--A=0,1", env_extra=env)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "spec-error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--A=1,2,3"],
+        ["certify", "--A=1,x"],
+        ["nonvanish", "--l0", "0", "--n0", "3", "--omega=1,2,3"],
+        ["nonvanish", "--l0", "0", "--n0", "3", "--omega=1,y"],
+        ["nonvanish", "--l0", "0", "--n0", "3", "--omega-from-f=1,2"],
+        ["nonvanish", "--l0", "0", "--n0", "3", "--omega-from-f=1/0"],
+        ["bounds", "--l-list=1,x"],
+        ["bounds", "--l-list="],
+        ["bounds", "--n-list=2,z"],
+    ],
+)
+def test_malformed_vectors_exit_3(capsys, tmp_path, argv):
+    code, report = run_cli(capsys, *argv, write_spec(tmp_path))
+    assert code == EXIT_USAGE
+    assert report["verdict"] == "spec-error"
+    assert report["error"]["type"] == "SpecFileError"
+
+
+def test_negative_leading_entry_needs_equals_form(capsys, tmp_path):
+    spec = write_spec(tmp_path)
+    assert main(["certify", "--A", "-23,14", spec]) == EXIT_USAGE
+    code, report = run_cli(capsys, "certify", "--A=-23,14", spec)
+    assert code == EXIT_PASS
+    assert report["payload"]["A"] == ["-23", "14"]

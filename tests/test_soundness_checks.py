@@ -1,0 +1,40 @@
+"""Soundness checks must not depend on assert, which python -O strips."""
+
+import ast
+import subprocess
+import sys
+
+from conftest import SRC, subprocess_env
+
+CORRUPTED_W_FORM = """
+from fractions import Fraction as F
+from qforms import validate_spec
+from qforms.forms import _state, w_form
+
+spec = validate_spec(3, 2, [0, F(1, 3), 1], [(F(5, 7), 2)])  # FIX-D
+_state(spec).clearing_D = 1  # the true clearing denominator is 42
+try:
+    w_form(spec, 1, 2)
+except AssertionError as exc:
+    print(exc)
+    raise SystemExit(0)
+raise SystemExit("w_form returned a non-integral form without raising")
+"""
+
+
+def test_w_form_integrality_check_survives_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_W_FORM],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "is not integral" in proc.stdout
+
+
+def test_package_has_no_assert_statements():
+    offenders = []
+    for path in sorted((SRC / "qforms").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == [], f"assert statements vanish under python -O: {offenders}"

@@ -51,6 +51,9 @@ class TestCheckIdentities:
         assert not rec.passed
         assert rec.counterexample["n"] == 1
         assert "lhs" in rec.counterexample and "rhs" in rec.counterexample
+        # the operator and residual checks read the substituted engine too
+        assert not by_name["main_relation"].passed
+        assert not by_name["functional_equation"].passed
 
     def test_l_max_below_d_rejected(self, fix_d):
         with pytest.raises(DomainViolation):
