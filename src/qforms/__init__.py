@@ -23,7 +23,6 @@ from .errors import (
     ZeroVector,
 )
 from .forms import (
-    IntegerLinearForm,
     LinearForm,
     OperatorPoly,
     form_height,
@@ -81,7 +80,6 @@ __all__ = [
     "Enclosure",
     "ExponentScanReport",
     "IdentityReport",
-    "IntegerLinearForm",
     "InvalidSpec",
     "LinearForm",
     "MeasureParams",

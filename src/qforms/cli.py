@@ -103,6 +103,12 @@ def _parse_vector(text: str, parse, flag: str, length: Optional[int] = None) -> 
     return vec
 
 
+def _at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise SpecFileError(f"{flag} must be at least {low}, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     """Report/output flags, valid before or after the subcommand.
 
@@ -233,18 +239,19 @@ def _dispatch(args, spec: ProblemSpec, precision_bits: int, caps: dict):
             spec,
             n_max=args.n_max,
             l_max=args.l_max,
-            series_N=args.series_n,
+            series_N=_at_least(args.series_n, 0, "--series-n"),
             rng_seed=args.seed,
         )
         return report.to_json(), "pass" if report.all_passed else "fail", None
 
     if args.command == "bounds":
         l_list = _parse_vector(args.l_list, int, "--l-list")
+        n_step = _at_least(args.n_step, 1, "--n-step")
         if args.n_list:
             n_list = _parse_vector(args.n_list, int, "--n-list")
         else:
             n_list = sorted(
-                set(range(spec.S * min(l_list), args.n_max + 1, args.n_step))
+                set(range(spec.S * min(l_list), args.n_max + 1, n_step))
                 | {args.n_max}
             )
         report = verifier.bounds_report(
@@ -284,12 +291,14 @@ def _dispatch(args, spec: ProblemSpec, precision_bits: int, caps: dict):
         return cert.to_json(), "pass", None
 
     if args.command == "scan":
-        strategy = "exhaustive" if args.random is None else "random"
+        _at_least(args.hmax, 2, "--hmax")
+        if args.random is not None:
+            _at_least(args.random, 1, "--random")
         report = measure.exponent_scan(
             spec,
             args.hmax,
-            strategy=strategy,
-            sample_count=args.random or 64,
+            strategy="exhaustive" if args.random is None else "random",
+            sample_count=64 if args.random is None else args.random,
             seed=args.seed,
             precision_bits=precision_bits,
             precision_cap=caps["precision_cap"],

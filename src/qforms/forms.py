@@ -1,62 +1,95 @@
 """Construction of the auxiliary linear forms.
 
 The variable vector is (x_0, x_{j,k,sigma}) in the canonical order given by
-ProblemSpec.var_indices; forms are dense coefficient tuples of length
-1 + dS with slot 0 holding the x_0 coefficient.
+ProblemSpec.var_indices; slot 0 holds the x_0 coefficient.
 
-The v-sequence is produced by the first-order recurrence
-v_n = P(q^n) v_{n-1} + u_n and memoized per spec; the operator products are
-expanded once per (l, delta) into a shift polynomial and applied as a dot
-product over the cached window.
+A form is stored as integer numerators over one positive denominator that
+is not reduced against them: sum_i nums[i] x_i / den. Sums take one gcd of
+the two denominators, scaling multiplies numerators and denominator, and an
+evaluation is one integer dot product. Only `coeffs`, `x0` and
+`evaluate_exact` reduce, to the same Fractions a rational form would hold.
+
+v_n is kept over the known denominator D^n q2^(d n (n+1)/2), where the
+recurrence v_n = P(q^n) v_{n-1} + u_n runs on integers and is memoized per
+spec; w_(l,n) is v_(l,n) rescaled to denominator 1. The operator products
+are expanded once per (l, delta) into a shift polynomial and applied over
+the cached window.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Sequence
 
 from .errors import DomainViolation
 from .problem import ProblemSpec, clearing_denominator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearForm:
-    """Linear form with exact rational coefficients, slot 0 = x_0."""
+    """sum_i nums[i] x_i / den: integer nums, positive den, slot 0 = x_0."""
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("forms over different variable sets")
-        return LinearForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+    def __post_init__(self):
+        if not (isinstance(self.den, int) and self.den > 0):
+            raise ValueError(f"form denominator must be a positive integer, got {self.den!r}")
 
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("forms over different variable sets")
-        return LinearForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+    @classmethod
+    def of(cls, coeffs: Sequence) -> "LinearForm":
+        """The form with these rational coefficients, over their least common denominator."""
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fracs))
+        return cls(tuple(c.numerator * (den // c.denominator) for c in fracs), den)
 
-    def scale(self, c: Fraction) -> "LinearForm":
-        return LinearForm(tuple(c * a for a in self.coeffs))
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     @property
     def x0(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
+
+    def __eq__(self, other) -> bool:
+        """Cross-multiplied: equal forms over different denominators compare equal."""
+        if not isinstance(other, LinearForm):
+            return NotImplemented
+        return len(self.nums) == len(other.nums) and not any((self - other).nums)
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __add__(self, other: "LinearForm") -> "LinearForm":
+        """Over lcm(den, other.den), from one gcd of the two denominators."""
+        if len(self.nums) != len(other.nums):
+            raise ValueError("forms over different variable sets")
+        g = math.gcd(self.den, other.den)
+        a, b = other.den // g, self.den // g
+        nums = tuple(x * a + y * b for x, y in zip(self.nums, other.nums))
+        return LinearForm(nums, self.den * a)
+
+    def __sub__(self, other: "LinearForm") -> "LinearForm":
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "LinearForm":
+        c = Fraction(c)
+        return LinearForm(tuple(a * c.numerator for a in self.nums), self.den * c.denominator)
+
+    def at(self, vector: Sequence) -> "LinearForm":
+        """The value at a rational vector (x_0 first), as a one-slot form
+        over an unreduced denominator: one integer dot product."""
+        if len(vector) != len(self.nums):
+            raise ValueError("vector length does not match the variable set")
+        vec = [Fraction(v) for v in vector]
+        b = math.lcm(*(v.denominator for v in vec))
+        dot = sum(a * (v.numerator * (b // v.denominator)) for a, v in zip(self.nums, vec))
+        return LinearForm((dot,), self.den * b)
 
 
-@dataclass(frozen=True)
-class IntegerLinearForm:
-    """Linear form with integer coefficients; produced only by w_form."""
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def x0(self) -> int:
-        return self.coeffs[0]
-
-
-FormLike = Union[LinearForm, IntegerLinearForm]
 VProvider = Callable[[ProblemSpec, int], LinearForm]
 
 
@@ -118,14 +151,11 @@ def u_form(spec: ProblemSpec, n: int) -> LinearForm:
     Valid for every n in Z; negative exponents are exact rational powers.
     The x_0 coefficient is zero.
     """
-    coeffs = [Fraction(0)]
+    coeffs = [0]
     for j, k, sigma in spec.var_indices:
         ff = falling_factorial(n, sigma)
-        if ff == 0:
-            coeffs.append(Fraction(0))
-        else:
-            coeffs.append(ff * spec.point_arg(j, k) ** (n - sigma))
-    return LinearForm(tuple(coeffs))
+        coeffs.append(ff * spec.point_arg(j, k) ** (n - sigma) if ff else 0)
+    return LinearForm.of(coeffs)
 
 
 def p_at(spec: ProblemSpec, n: int) -> Fraction:
@@ -137,18 +167,33 @@ def p_at(spec: ProblemSpec, n: int) -> Fraction:
         return st.p_values[n]
 
 
+def _over(form: LinearForm, den: int, what: str) -> tuple[int, ...]:
+    """Numerators of form over den; raises unless form.den divides den,
+    i.e. unless den * form has integer coefficients."""
+    factor, rest = divmod(den, form.den)
+    if rest:
+        raise AssertionError(f"{what} is not integral")
+    return tuple(a * factor for a in form.nums)
+
+
 def v_form(spec: ProblemSpec, n: int) -> LinearForm:
-    """v_n by the recurrence v_n = P(q^n) v_{n-1} + u_n, v_0 = x_0 + u_0."""
+    """v_n by the recurrence v_n = P(q^n) v_{n-1} + u_n, v_0 = x_0 + u_0,
+    over the denominator D^n q2^(d n (n+1)/2)."""
     if n < 0:
         raise DomainViolation("v_n requires n >= 0")
     st = _state(spec)
     with st.lock:
         if not st.v_forms:
-            base = u_form(spec, 0)
-            st.v_forms.append(LinearForm((Fraction(1),) + base.coeffs[1:]))
+            st.v_forms.append(LinearForm((1,) + _over(u_form(spec, 0), 1, "u_0")[1:]))
         while len(st.v_forms) <= n:
             i = len(st.v_forms)
-            st.v_forms.append(st.v_forms[i - 1].scale(p_at(spec, i)) + u_form(spec, i))
+            prev = st.v_forms[-1]
+            step = st.clearing_D * spec.q_den ** (spec.d * i)
+            [p] = _over(LinearForm.of((p_at(spec, i),)), step, f"D q2^(d n) P(q^n) at n = {i}")
+            den = prev.den * step
+            u = _over(u_form(spec, i), den, f"D^n q2^(d n (n+1)/2) u_n at n = {i}")
+            nums = tuple(a * p + b for a, b in zip(prev.nums, u))
+            st.v_forms.append(LinearForm(nums, den))
         return st.v_forms[n]
 
 
@@ -203,41 +248,31 @@ def vl_form(spec: ProblemSpec, l: int, n: int) -> LinearForm:
     return _apply_operator(spec, l, 0, n, v_form)
 
 
-def w_form(spec: ProblemSpec, l: int, n: int) -> IntegerLinearForm:
-    """Integerized form D^n q1^(S l (l+1)/2) q2^(d n (n+1)/2) v_{l,n}."""
-    base = vl_form(spec, l, n)
-    st = _state(spec)
+def w_form(spec: ProblemSpec, l: int, n: int) -> LinearForm:
+    """Integerized form D^n q1^(S l (l+1)/2) q2^(d n (n+1)/2) v_{l,n}: the
+    numerators of v_{l,n} over that scale, over denominator 1."""
     scale = (
-        Fraction(st.clearing_D) ** n
-        * Fraction(spec.q_num) ** (spec.S * l * (l + 1) // 2)
-        * Fraction(spec.q_den) ** (spec.d * n * (n + 1) // 2)
+        _state(spec).clearing_D ** n
+        * spec.q_num ** (spec.S * l * (l + 1) // 2)
+        * spec.q_den ** (spec.d * n * (n + 1) // 2)
     )
-    ints = []
-    for c in base.coeffs:
-        scaled = c * scale
-        if scaled.denominator != 1:
-            raise AssertionError(f"w_(l={l},n={n}) coefficient {scaled} is not integral")
-        ints.append(scaled.numerator)
-    return IntegerLinearForm(tuple(ints))
+    return LinearForm(_over(vl_form(spec, l, n), scale, f"w_(l={l},n={n})"))
 
 
-def form_height(form: FormLike):
+def form_height(form: LinearForm) -> Fraction:
     """Max absolute value over all coefficients (including x_0)."""
-    return max(abs(c) for c in form.coeffs)
+    return Fraction(max(abs(a) for a in form.nums), form.den)
 
 
-def evaluate_exact(form: FormLike, vector) -> Fraction:
+def evaluate_exact(form: LinearForm, vector: Sequence) -> Fraction:
     """Exact value of the form at a rational vector (x_0 first)."""
-    if len(vector) != len(form.coeffs):
-        raise ValueError("vector length does not match the variable set")
-    return sum(
-        (Fraction(c) * Fraction(v) for c, v in zip(form.coeffs, vector)),
-        start=Fraction(0),
-    )
+    return form.at(vector).x0
 
 
-def form_to_json(spec: ProblemSpec, form: FormLike) -> dict:
-    terms = []
-    for (j, k, sigma), c in zip(spec.var_indices, form.coeffs[1:]):
-        terms.append({"j": j, "k": k, "sigma": sigma, "c": str(c)})
-    return {"x0": str(form.coeffs[0]), "terms": terms}
+def form_to_json(spec: ProblemSpec, form: LinearForm) -> dict:
+    x0, *rest = form.coeffs
+    terms = [
+        {"j": j, "k": k, "sigma": sigma, "c": str(c)}
+        for (j, k, sigma), c in zip(spec.var_indices, rest)
+    ]
+    return {"x0": str(x0), "terms": terms}

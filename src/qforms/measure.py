@@ -26,7 +26,7 @@ from .errors import (
     RetryCapExceeded,
     ZeroVector,
 )
-from .forms import w_form
+from .forms import evaluate_exact, w_form
 from .problem import MeasureParams, ProblemSpec, measure_params
 from .series import OmegaVector, evaluate_form, lambda_enclosure, omega_from_vector
 from .util import PrecisionPolicy
@@ -77,9 +77,9 @@ class Certificate:
     A: tuple[int, ...]
     l: int
     n: int
-    wA: int
+    wA: Fraction
     wOmega: Enclosure
-    x0_coeff: int
+    x0_coeff: Fraction
     bound: Fraction
     cross_check: Enclosure
 
@@ -155,7 +155,7 @@ def certify_lower_bound(
         n0 = _n0_for(spec, params, l)
         for n in range(n0, n0 + spec.d * spec.S + 1):
             wf = w_form(spec, l, n)
-            wA = sum(c * a for c, a in zip(wf.coeffs, A))
+            wA = evaluate_exact(wf, A)
             if wA == 0:
                 continue
             for bits in policy.ladder():
@@ -300,6 +300,8 @@ def exponent_scan(
             )
         heights = list(range(2, H_max + 1))
     elif strategy == "random":
+        if sample_count < 1:
+            raise ValueError("sample_count must be at least 1")
         heights = []
         h = 2
         while h < H_max:

@@ -21,7 +21,7 @@ from typing import Sequence, Union
 from .enclosure import Enclosure
 from .errors import PrecisionCapExceeded
 from .forms import (
-    FormLike,
+    LinearForm,
     VProvider,
     evaluate_exact,
     falling_factorial,
@@ -135,50 +135,13 @@ def omega_from_vector(spec: ProblemSpec, rest: Sequence, precision_bits: int) ->
     return OmegaVector(-acc, rest_f, precision_bits)
 
 
-def evaluate_form(form: FormLike, omega: OmegaVector) -> Enclosure:
+def evaluate_form(form: LinearForm, omega: OmegaVector) -> Enclosure:
     """Enclosure of the form at omega; an exact point when the x_0 slot is 0."""
-    if len(form.coeffs) != len(omega.rest) + 1:
-        raise ValueError("form and omega are over different variable sets")
-    exact = sum(
-        (Fraction(c) * r for c, r in zip(form.coeffs[1:], omega.rest)),
-        start=Fraction(0),
-    )
-    x0c = Fraction(form.coeffs[0])
+    exact = evaluate_exact(form, (0,) + omega.rest)
+    x0c = form.x0
     if x0c == 0:
         return Enclosure.point(exact)
     return omega.omega0 * x0c + exact
-
-
-def v_value_sequence(spec: ProblemSpec, vector: Sequence, n_max: int) -> list[Fraction]:
-    """v_0(omega) .. v_{n_max}(omega) by the value recurrence
-    v_n = P(q^n) v_{n-1} + u_n(omega); vector includes the x_0 slot.
-
-    The powers (alpha_j q^k)^(n-sigma) inside u_n are updated incrementally,
-    so each step costs O(dS) multiplications.
-    """
-    vec = tuple(Fraction(c) for c in vector)
-    # one (z, sigma, weight, z^(n-sigma)) slot per active variable
-    slots = []
-    for idx, (j, k, sigma) in enumerate(spec.var_indices):
-        c = vec[idx + 1]
-        if c != 0:
-            z = spec.point_arg(j, k)
-            slots.append([z, sigma, c, z ** (-sigma)])
-
-    def u_at(n: int) -> Fraction:
-        total = Fraction(0)
-        for z, sigma, c, zpow in slots:
-            ff = falling_factorial(n, sigma)
-            if ff != 0:
-                total += c * ff * zpow
-        return total
-
-    vals = [vec[0] + u_at(0)]
-    for n in range(1, n_max + 1):
-        for slot in slots:
-            slot[3] *= slot[0]
-        vals.append(p_at(spec, n) * vals[-1] + u_at(n))
-    return vals
 
 
 def functional_equation_residual(
@@ -203,21 +166,22 @@ def _residuals(
     spec: ProblemSpec, omega_rest: Sequence, omega0, N: int, v_at: VProvider
 ) -> list[Fraction]:
     """functional_equation_residual with v_n read from v_at(spec, n), the
-    hook through which check_identities substitutes a v-engine."""
-    om0 = Fraction(omega0)
-    rest = tuple(Fraction(c) for c in omega_rest)
-    vec = (om0,) + rest
-    uvec = (Fraction(0),) + rest
-    v_vals = [evaluate_exact(v_at(spec, n), vec) for n in range(N + 1)]
-    u_vals = [evaluate_exact(u_form(spec, n), uvec) for n in range(N + 1)]
+    hook through which check_identities substitutes a v-engine.
+
+    Values stay one-slot forms over unreduced denominators, so each
+    residual is an integer numerator; only a nonzero one costs a gcd.
+    """
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    vec = (Fraction(omega0),) + tuple(Fraction(c) for c in omega_rest)
+    v_vals = [v_at(spec, n).at(vec) for n in range(N + 1)]
+    u_vals = [u_form(spec, n).at(vec) for n in range(N + 1)]  # u_n has no x_0 term
     p = spec.P.coefficients
     q = spec.q
-    residuals = [v_vals[0] - om0 - u_vals[0]]
+    residuals = [v_vals[0] - LinearForm.of(vec[:1]) - u_vals[0]]
     for n in range(1, N + 1):
-        lhs = v_vals[n] - p[0] * v_vals[n - 1]
-        conv = sum(
-            (p[nu] * q ** (nu * n) * v_vals[n - 1] for nu in range(1, spec.d + 1)),
-            start=Fraction(0),
-        )
-        residuals.append(lhs - conv - u_vals[n])
-    return residuals
+        lhs = v_vals[n] - v_vals[n - 1].scale(p[0])
+        for nu in range(1, spec.d + 1):
+            lhs = lhs - v_vals[n - 1].scale(p[nu] * q ** (nu * n))
+        residuals.append(lhs - u_vals[n])
+    return [r.x0 for r in residuals]

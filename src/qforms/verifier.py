@@ -20,9 +20,9 @@ from .forms import (
     LinearForm,
     VProvider,
     _apply_operator,
+    evaluate_exact,
     expand_shift_factors,
     form_height,
-    operator_poly,
     p_at,
     u_form,
     v_form,
@@ -30,13 +30,7 @@ from .forms import (
     w_form,
 )
 from .problem import ProblemSpec
-from .series import (
-    OmegaVector,
-    _residuals,
-    evaluate_form,
-    omega_from_vector,
-    v_value_sequence,
-)
+from .series import OmegaVector, _residuals, evaluate_form, omega_from_vector
 from .util import PrecisionPolicy, random_rational, random_rational_vector
 
 
@@ -83,7 +77,7 @@ def _check_recurrence(spec: ProblemSpec, n_max: int, v_at: VProvider) -> Identit
     for n in range(1, n_max + 1):
         lhs = v_at(spec, n)
         rhs = v_at(spec, n - 1).scale(p_at(spec, n)) + u_form(spec, n)
-        if lhs.coeffs != rhs.coeffs:
+        if lhs != rhs:
             return IdentityCheck(
                 "recurrence",
                 domain,
@@ -151,7 +145,7 @@ def _check_main_relation(
                     p[d - nu] * q ** (-nu * (n + 1))
                 )
                 rhs = rhs - term
-            if lhs.coeffs != rhs.coeffs:
+            if lhs != rhs:
                 return IdentityCheck(
                     "main_relation",
                     domain,
@@ -445,13 +439,8 @@ def nonvanishing_scan(
             raise ValueError(f"omega must have length {spec.n_vars}")
         if all(c == 0 for c in vec):
             raise ZeroOmega("omega is the zero vector")
-        vals = v_value_sequence(spec, vec, window.stop - 1)
-        op = operator_poly(spec, l0, 0)
         for n in window:
-            value = sum(
-                (op.coeffs[t] * vals[n - t] for t in range(len(op.coeffs))),
-                start=Fraction(0),
-            )
+            value = evaluate_exact(vl_form(spec, l0, n), vec)
             if value != 0:
                 return NonvanishingVerdict(
                     n0, len(window), n, None, witness=str(value)

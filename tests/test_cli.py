@@ -241,6 +241,11 @@ def test_bad_precision_values_exit_3(tmp_path, overrides, env_cap):
         ["bounds", "--l-list=1,x"],
         ["bounds", "--l-list="],
         ["bounds", "--n-list=2,z"],
+        ["scan", "--hmax", "1"],
+        ["scan", "--hmax", "3", "--random", "0"],
+        ["scan", "--hmax", "3", "--random", "-1"],
+        ["bounds", "--n-step", "0"],
+        ["verify", "--series-n", "-1"],
     ],
 )
 def test_malformed_vectors_exit_3(capsys, tmp_path, argv):
@@ -256,3 +261,37 @@ def test_negative_leading_entry_needs_equals_form(capsys, tmp_path):
     code, report = run_cli(capsys, "certify", "--A=-23,14", spec)
     assert code == EXIT_PASS
     assert report["payload"]["A"] == ["-23", "14"]
+
+
+def _integer_flag_grid():
+    """Every integer flag of the 8 subcommands over -2..2: one flag, or one
+    --l/--n style pair, at a time, with the other flags kept small."""
+    values = [str(v) for v in range(-2, 3)]
+    for v in values:
+        yield ["validate", "--threads", v]
+        yield ["params", "--threads", v]
+        yield ["verify", "--n-max", v, "--series-n", "2"]
+        yield ["verify", "--n-max", "2", "--l-max", v, "--series-n", "2"]
+        yield ["verify", "--n-max", "2", "--series-n", v]
+        yield ["certify", "--A=1,1", "--l-override", v]
+        yield ["scan", "--hmax", v]
+        yield ["scan", "--hmax", "3", "--random", v]
+        for w in values:
+            yield ["forms", "--l", v, "--n", w]
+            yield ["nonvanish", "--l0", v, "--n0", w, "--omega=1,1"]
+            yield ["bounds", "--l-list=1", "--n-max", v, "--n-step", w]
+
+
+def test_integer_flag_grid_exits_with_documented_codes(capsys):
+    spec = str(FIXTURES / "fixtureA.json")
+    bad = []
+    for argv in _integer_flag_grid():
+        try:
+            code = main([*argv, spec])
+        except Exception as exc:
+            bad.append((argv, repr(exc)))
+        else:
+            if code not in (EXIT_PASS, EXIT_FAIL, EXIT_UNDECIDED, EXIT_USAGE):
+                bad.append((argv, code))
+        capsys.readouterr()
+    assert bad == []

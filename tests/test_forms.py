@@ -173,7 +173,7 @@ class TestHeight:
         assert form_height(w_form(fix_a, 1, 2)) == 23
 
     def test_zero_form(self):
-        assert form_height(LinearForm((F(0), F(0)))) == 0
+        assert form_height(LinearForm((0, 0), 1)) == 0
 
     def test_monotone_growth(self, all_fixtures):
         for spec in all_fixtures.values():
@@ -225,3 +225,65 @@ class TestEvaluateExact:
                     p_val = sum(pc * F(n - i) ** e for e, pc in enumerate(poly))
                     total += c * p_val * a ** (n - i)
                 assert total == 0
+
+
+class TestLinearFormArithmetic:
+    """LinearForm against plain Fraction arithmetic, coefficient by
+    coefficient, on seeded random forms; the oracle is Fractions only."""
+
+    @staticmethod
+    def random_form(rng, dim):
+        """(form, its coefficients as Fractions, the same form over k * den)."""
+        den = rng.randint(1, 10 ** 6)
+        nums = [rng.randint(-10 ** 9, 10 ** 9) for _ in range(dim)]
+        if rng.random() < 0.1:
+            nums = [0] * dim
+        k = rng.randint(2, 10 ** 4)
+        oracle = tuple(F(a, den) for a in nums)
+        same = LinearForm(tuple(a * k for a in nums), den * k)
+        return LinearForm(tuple(nums), den), oracle, same
+
+    def test_matches_fraction_arithmetic(self):
+        rng = random.Random(3)
+        for _ in range(400):
+            dim = rng.randint(1, 7)
+            f, fo, f_scaled = self.random_form(rng, dim)
+            g, go, _ = self.random_form(rng, dim)
+            c = F(rng.randint(-60, 60), rng.randint(1, 60))
+            vec = [F(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(dim)]
+
+            assert f.coeffs == fo
+            assert f.x0 == fo[0]
+            assert f == f_scaled and f_scaled.coeffs == fo
+            assert hash(f) == hash(f_scaled)
+            assert (f == g) == (fo == go)
+            assert (f + g).coeffs == tuple(a + b for a, b in zip(fo, go))
+            assert (f - g).coeffs == tuple(a - b for a, b in zip(fo, go))
+            assert (f_scaled - f).coeffs == (F(0),) * dim
+            assert f.scale(c).coeffs == tuple(c * a for a in fo)
+            assert evaluate_exact(f, vec) == sum(a * v for a, v in zip(fo, vec))
+            assert form_height(f) == max(abs(a) for a in fo)
+
+    def test_unequal_when_one_coefficient_differs(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            dim = rng.randint(1, 7)
+            den, k = rng.randint(1, 10 ** 6), rng.randint(2, 10 ** 4)
+            nums = [rng.randint(-10 ** 9, 10 ** 9) for _ in range(dim)]
+            i = rng.randrange(dim)
+            # coefficient i moves by 1/(k den), the others are equal
+            bumped = tuple(a * k + (t == i) for t, a in enumerate(nums))
+            assert LinearForm(bumped, den * k) != LinearForm(tuple(nums), den)
+
+    def test_mismatched_lengths(self):
+        f, g = LinearForm((1, 2), 3), LinearForm((1,), 3)
+        assert f != g
+        with pytest.raises(ValueError):
+            f + g
+        with pytest.raises(ValueError):
+            evaluate_exact(f, (F(1),))
+
+    def test_denominator_must_be_positive(self):
+        for den in (0, -3):
+            with pytest.raises(ValueError):
+                LinearForm((1, 2), den)

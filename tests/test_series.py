@@ -16,7 +16,6 @@ from qforms import (
     value_table,
     vl_form,
 )
-from qforms.series import v_value_sequence
 
 TINY = F(1, 1 << 500)
 
@@ -145,25 +144,10 @@ class TestEvaluateForm:
         from qforms.series import OmegaVector
         from qforms.enclosure import Enclosure
 
-        form = LinearForm((F(0), F(5)))
+        form = LinearForm((0, 5), 1)
         omega = OmegaVector(Enclosure(F(-10), F(10)), (F(2, 3),), 32)
         val = evaluate_form(form, omega)
         assert (val.lo, val.hi) == (F(10, 3), F(10, 3))
-
-
-class TestValueSequence:
-    def test_matches_form_evaluation(self, all_fixtures):
-        rng = random.Random(3)
-        from qforms.forms import evaluate_exact, v_form
-
-        for spec in all_fixtures.values():
-            vec = tuple(
-                F(rng.randint(-20, 20), rng.randint(1, 20))
-                for _ in range(spec.n_vars)
-            )
-            vals = v_value_sequence(spec, vec, 12)
-            for n in range(13):
-                assert vals[n] == evaluate_exact(v_form(spec, n), vec)
 
 
 class TestFunctionalEquation:
