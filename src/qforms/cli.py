@@ -22,13 +22,9 @@ from . import measure, series, verifier
 from .errors import (
     DomainViolation,
     InvalidSpec,
-    NotApplicable,
     PrecisionCapExceeded,
     QFormsError,
-    RetryCapExceeded,
     UndecidableAtCap,
-    ZeroOmega,
-    ZeroVector,
 )
 from .forms import form_height, form_to_json, u_form, v_form, vl_form, w_form
 from .problem import (
@@ -62,14 +58,16 @@ def load_spec_file(path: str) -> tuple[ProblemSpec, int, dict]:
         raise SpecFileError(f"spec file {path} is not valid JSON: {exc}") from exc
     try:
         q = raw["q"]
+        if not isinstance(raw["P"], list):
+            raise TypeError(f"P must be a list, got {raw['P']!r}")
         spec = validate_spec(
-            int(q["num"]),
-            int(q["den"]),
+            _integer(q["num"], "q.num"),
+            _integer(q["den"], "q.den"),
             [Fraction(c) for c in raw["P"]],
-            [(Fraction(p["alpha"]), int(p["s"])) for p in raw["points"]],
+            [(Fraction(p["alpha"]), _positive_int(p["s"], "points[].s")) for p in raw["points"]],
         )
         caps = dict(raw.get("caps", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise SpecFileError(f"malformed spec file {path}: {exc}") from exc
     precision_bits = _positive_int(raw.get("precision_bits", 256), "precision_bits")
     caps.setdefault("precision_cap", DEFAULT_PRECISION_CAP)
@@ -82,13 +80,22 @@ def load_spec_file(path: str) -> tuple[ProblemSpec, int, dict]:
     return spec, precision_bits, caps
 
 
+def _integer(value, name: str, kind: str = "an integer") -> int:
+    """A JSON integer (not a bool) or an integer string such as "-3"; a
+    float is refused rather than truncated."""
+    if isinstance(value, str) and value.strip().removeprefix("-").isdecimal():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecFileError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
 def _positive_int(value, name: str) -> int:
     """A JSON integer (not a bool) or a decimal string, at least 1."""
-    if isinstance(value, str) and value.strip().isdecimal():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    number = _integer(value, name, "a positive integer")
+    if number < 1:
         raise SpecFileError(f"{name} must be a positive integer, got {value!r}")
-    return value
+    return number
 
 
 def _parse_vector(text: str, parse, flag: str, length: Optional[int] = None) -> list:
@@ -334,22 +341,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_PASS
 
     started = time.perf_counter()
-    try:
-        spec, precision_bits, caps = load_spec_file(args.specfile)
-    except (SpecFileError, InvalidSpec) as exc:
-        report = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-            "verdict": "spec-error",
-        }
-        _emit(args, report)
-        return EXIT_USAGE
-
     csv_rows = None
     try:
+        spec, precision_bits, caps = load_spec_file(args.specfile)
         payload, verdict, csv_rows = _dispatch(args, spec, precision_bits, caps)
-    except SpecFileError as exc:
+    except (SpecFileError, InvalidSpec, DomainViolation) as exc:
+        # a DomainViolation is reachable from the CLI only through a flag value
         report = {
             "schema": SCHEMA,
             "command": args.command,
@@ -361,14 +358,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UndecidableAtCap, PrecisionCapExceeded) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         verdict = "undecided"
-    except (
-        NotApplicable,
-        RetryCapExceeded,
-        ZeroOmega,
-        ZeroVector,
-        DomainViolation,
-        QFormsError,
-    ) as exc:
+    except QFormsError as exc:  # NotApplicable, RetryCapExceeded, ZeroOmega, ZeroVector
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         verdict = "fail"
 

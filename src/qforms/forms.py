@@ -10,22 +10,23 @@ evaluation is one integer dot product. Only `coeffs`, `x0` and
 `evaluate_exact` reduce, to the same Fractions a rational form would hold.
 
 v_n is kept over the known denominator D^n q2^(d n (n+1)/2), where the
-recurrence v_n = P(q^n) v_{n-1} + u_n runs on integers and is memoized per
-spec; w_(l,n) is v_(l,n) rescaled to denominator 1. The operator products
-are expanded once per (l, delta) into a shift polynomial and applied over
-the cached window.
+recurrence v_n = P(q^n) v_{n-1} + u_n runs on integers; w_(l,n) is v_(l,n)
+rescaled to denominator 1. The operator products are expanded once per
+(l, delta) into a shift polynomial and applied over the cached window.
+P(q^n), v_n and the operator expansions are memoized on the ProblemSpec
+instance itself (its p_values, v_forms and operator_polys), so the memo
+lives as long as the caller keeps the spec.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainViolation
-from .problem import ProblemSpec, clearing_denominator
+from .problem import ProblemSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,36 +108,6 @@ class OperatorPoly:
         return len(self.coeffs) - 1
 
 
-class _SpecState:
-    """Per-spec mutable cache: v-forms, P(q^n) values, operator expansions.
-
-    Single writer at a time via the lock; readers always see a fully
-    constructed prefix because lists only grow.
-    """
-
-    def __init__(self, spec: ProblemSpec):
-        self.spec = spec
-        self.lock = threading.RLock()
-        self.v_forms: list[LinearForm] = []
-        self.p_values: list[Fraction] = [Fraction(1)]  # slot n holds P(q^n); slot 0 unused
-        self.operator_polys: dict[tuple[int, int], OperatorPoly] = {}
-        self.clearing_D = clearing_denominator(spec)
-        self.value_tables: dict = {}
-
-
-_STATES: dict[ProblemSpec, _SpecState] = {}
-_STATES_LOCK = threading.Lock()
-
-
-def _state(spec: ProblemSpec) -> _SpecState:
-    with _STATES_LOCK:
-        st = _STATES.get(spec)
-        if st is None:
-            st = _SpecState(spec)
-            _STATES[spec] = st
-        return st
-
-
 def falling_factorial(n: int, sigma: int) -> int:
     """n (n-1) ... (n-sigma+1), i.e. sigma! * C(n, sigma); defined for all n in Z."""
     out = 1
@@ -160,11 +131,10 @@ def u_form(spec: ProblemSpec, n: int) -> LinearForm:
 
 def p_at(spec: ProblemSpec, n: int) -> Fraction:
     """Memoized P(q^n) for n >= 1."""
-    st = _state(spec)
-    with st.lock:
-        while len(st.p_values) <= n:
-            st.p_values.append(spec.P(spec.q ** len(st.p_values)))
-        return st.p_values[n]
+    value = spec.p_values.get(n)
+    if value is None:
+        value = spec.p_values.setdefault(n, spec.P(spec.q ** n))
+    return value
 
 
 def _over(form: LinearForm, den: int, what: str) -> tuple[int, ...]:
@@ -181,20 +151,18 @@ def v_form(spec: ProblemSpec, n: int) -> LinearForm:
     over the denominator D^n q2^(d n (n+1)/2)."""
     if n < 0:
         raise DomainViolation("v_n requires n >= 0")
-    st = _state(spec)
-    with st.lock:
-        if not st.v_forms:
-            st.v_forms.append(LinearForm((1,) + _over(u_form(spec, 0), 1, "u_0")[1:]))
-        while len(st.v_forms) <= n:
-            i = len(st.v_forms)
-            prev = st.v_forms[-1]
-            step = st.clearing_D * spec.q_den ** (spec.d * i)
-            [p] = _over(LinearForm.of((p_at(spec, i),)), step, f"D q2^(d n) P(q^n) at n = {i}")
-            den = prev.den * step
-            u = _over(u_form(spec, i), den, f"D^n q2^(d n (n+1)/2) u_n at n = {i}")
-            nums = tuple(a * p + b for a, b in zip(prev.nums, u))
-            st.v_forms.append(LinearForm(nums, den))
-        return st.v_forms[n]
+    memo = spec.v_forms
+    if not memo:
+        memo.setdefault(0, LinearForm((1,) + _over(u_form(spec, 0), 1, "u_0")[1:]))
+    # entry i is published only after i - 1, so len(memo) - 1 is the last key
+    for i in range(len(memo), n + 1):
+        prev = memo[i - 1]
+        step = spec.clearing_D * spec.q_den ** (spec.d * i)
+        [p] = _over(LinearForm.of((p_at(spec, i),)), step, f"D q2^(d n) P(q^n) at n = {i}")
+        den = prev.den * step
+        u = _over(u_form(spec, i), den, f"D^n q2^(d n (n+1)/2) u_n at n = {i}")
+        memo.setdefault(i, LinearForm(tuple(a * p + b for a, b in zip(prev.nums, u)), den))
+    return memo[n]
 
 
 def expand_shift_factors(factors: list[Fraction]) -> tuple[Fraction, ...]:
@@ -212,19 +180,16 @@ def operator_poly(spec: ProblemSpec, l: int, delta: int = 0) -> OperatorPoly:
     """Expanded product prod_{k=1..l} prod_j (1 - alpha_j q^(delta-k) B)^{s_j}."""
     if l < 0:
         raise DomainViolation("operator order l must be >= 0")
-    st = _state(spec)
-    with st.lock:
-        cached = st.operator_polys.get((l, delta))
-        if cached is not None:
-            return cached
+    poly = spec.operator_polys.get((l, delta))
+    if poly is None:
         factors = []
         for k in range(1, l + 1):
             shift = spec.q ** (delta - k)
             for alpha, s in spec.points:
                 factors.extend([alpha * shift] * s)
         poly = OperatorPoly(delta, l, expand_shift_factors(factors))
-        st.operator_polys[(l, delta)] = poly
-        return poly
+        poly = spec.operator_polys.setdefault((l, delta), poly)
+    return poly
 
 
 def _apply_operator(
@@ -252,7 +217,7 @@ def w_form(spec: ProblemSpec, l: int, n: int) -> LinearForm:
     """Integerized form D^n q1^(S l (l+1)/2) q2^(d n (n+1)/2) v_{l,n}: the
     numerators of v_{l,n} over that scale, over denominator 1."""
     scale = (
-        _state(spec).clearing_D ** n
+        spec.clearing_D ** n
         * spec.q_num ** (spec.S * l * (l + 1) // 2)
         * spec.q_den ** (spec.d * n * (n + 1) // 2)
     )

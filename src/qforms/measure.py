@@ -329,15 +329,8 @@ def exponent_scan(
         if best is None:
             raise AssertionError(f"empty height shell at H = {H}")
         _, best_A, lam = best
-        for bits in policy.ladder():
-            if bits != precision_bits:
-                lam = lambda_enclosure(spec, best_A, bits).abs()
-            if lam.excludes_zero():
-                break
-        else:
-            raise PrecisionCapExceeded(
-                f"|Lambda| still straddles zero at H = {H}, {bits} bits"
-            )
+        if not lam.excludes_zero():
+            lam = _refined_lambda_abs(spec, best_A, policy)
         log_lam = log_of_enclosure(lam)
         log_H = log_enclosure(H, 48)
         exponent = -log_lam / log_H

@@ -119,16 +119,42 @@ class ProblemSpec:
         return tuple(out)
 
     @cached_property
-    def index_of(self) -> dict[tuple[int, int, int], int]:
-        """Position of x_{j,k,sigma} inside the dense coefficient vector."""
-        return {jks: i + 1 for i, jks in enumerate(self.var_indices)}
+    def clearing_D(self) -> int:
+        """Least positive D with D*P in Z[z] and D*alpha_j*q^k in Z (0 <= k < d)."""
+        dens = [c.denominator for c in self.P.coefficients]
+        for j in range(1, self.m + 1):
+            for k in range(self.d):
+                dens.append(self.point_arg(j, k).denominator)
+        return math.lcm(*dens)
+
+    # Memos of derived data. Each is filled and read by one module only and
+    # lives exactly as long as this spec. An entry is a pure function of
+    # (spec, key) published with one dict.setdefault, so concurrent callers
+    # can at worst repeat work, never see a wrong or partial entry.
+
+    @cached_property
+    def p_values(self) -> dict:
+        """forms.p_at: n -> P(q^n)."""
+        return {}
+
+    @cached_property
+    def v_forms(self) -> dict:
+        """forms.v_form: n -> v_n; the keys are always a prefix 0..k-1."""
+        return {}
+
+    @cached_property
+    def operator_polys(self) -> dict:
+        """forms.operator_poly: (l, delta) -> the expanded shift polynomial."""
+        return {}
+
+    @cached_property
+    def value_tables(self) -> dict:
+        """series.value_table: precision_bits -> ValueTable."""
+        return {}
 
     @property
     def n_vars(self) -> int:
         return 1 + self.d * self.S
-
-    def alpha(self, j: int) -> Fraction:
-        return self.points[j - 1][0]
 
     def point_arg(self, j: int, k: int) -> Fraction:
         """The evaluation point alpha_j * q^k."""
@@ -248,11 +274,7 @@ def validate_spec(
 
 def clearing_denominator(spec: ProblemSpec) -> int:
     """Least positive D with D*P in Z[z] and D*alpha_j*q^k in Z (0 <= k < d)."""
-    dens = [c.denominator for c in spec.P.coefficients]
-    for j in range(1, spec.m + 1):
-        for k in range(spec.d):
-            dens.append(spec.point_arg(j, k).denominator)
-    return math.lcm(*dens)
+    return spec.clearing_D
 
 
 def gamma_enclosure(spec: ProblemSpec, precision_bits: int) -> Enclosure:
@@ -343,21 +365,17 @@ def measure_params(
     if applicable:
         # (M - 1) / (1 - M*gamma); at pb the denominator is certified
         # positive (that is the applicability certificate), so the first
-        # pass always yields an enclosure, then refinement proceeds up to
+        # rung always yields an enclosure, then refinement proceeds up to
         # the cap or the requested width.
-        mu_pb = pb
         target = Fraction(1, 1 << precision_bits)
-        while True:
+        for mu_pb in PrecisionPolicy(pb, precision_cap).ladder():
             gamma_mu = gamma_enclosure(spec, mu_pb)
             M_mu = m_enclosure(spec, mu_pb)
             denom = 1 - M_mu * gamma_mu
             if denom.lo > 0:
                 mu = (M_mu - 1) / denom
-                if mu.width <= target or mu_pb >= precision_cap:
+                if mu.width <= target:
                     break
-            elif mu is not None and mu_pb >= precision_cap:
-                break
-            mu_pb = min(2 * mu_pb, precision_cap)
 
     return MeasureParams(
         S=spec.S,

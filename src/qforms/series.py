@@ -28,7 +28,6 @@ from .forms import (
     p_at,
     u_form,
     v_form,
-    _state,
 )
 from .problem import ProblemSpec
 
@@ -82,18 +81,15 @@ class ValueTable:
 
 
 def value_table(spec: ProblemSpec, precision_bits: int) -> ValueTable:
-    """Memoized ValueTable per (spec, precision)."""
-    st = _state(spec)
-    with st.lock:
-        table = st.value_tables.get(precision_bits)
-        if table is None:
-            entries = {
-                (j, k, sigma): f_derivative_enclosure(spec, j, k, sigma, precision_bits)
-                for (j, k, sigma) in spec.var_indices
-            }
-            table = ValueTable(entries, precision_bits)
-            st.value_tables[precision_bits] = table
-        return table
+    """Memoized ValueTable per (spec, precision), kept in spec.value_tables."""
+    table = spec.value_tables.get(precision_bits)
+    if table is None:
+        entries = {
+            (j, k, sigma): f_derivative_enclosure(spec, j, k, sigma, precision_bits)
+            for (j, k, sigma) in spec.var_indices
+        }
+        table = spec.value_tables.setdefault(precision_bits, ValueTable(entries, precision_bits))
+    return table
 
 
 def lambda_enclosure(spec: ProblemSpec, A: Sequence, precision_bits: int) -> Enclosure:
@@ -127,12 +123,8 @@ def omega_from_vector(spec: ProblemSpec, rest: Sequence, precision_bits: int) ->
     rest_f = tuple(Fraction(c) for c in rest)
     if len(rest_f) != spec.n_vars - 1:
         raise ValueError(f"rest must have length {spec.n_vars - 1}")
-    table = value_table(spec, precision_bits)
-    acc = Enclosure.zero()
-    for jks, c in zip(spec.var_indices, rest_f):
-        if c != 0:
-            acc = acc + table.entries[jks] * c
-    return OmegaVector(-acc, rest_f, precision_bits)
+    weighted = lambda_enclosure(spec, (0,) + rest_f, precision_bits)
+    return OmegaVector(-weighted, rest_f, precision_bits)
 
 
 def evaluate_form(form: LinearForm, omega: OmegaVector) -> Enclosure:

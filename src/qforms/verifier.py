@@ -323,8 +323,10 @@ def bounds_report(
     omega built from true series values against the smallness shape
     -l n + (S - eps0/d) l^2/2 + c (n+1)."""
     q1_log = log_enclosure(abs(spec.q_num), 48)
-    q_log = log_enclosure(abs(spec.q_num), 48) - log_enclosure(abs(spec.q_den), 48)
+    q_log = q1_log - log_enclosure(abs(spec.q_den), 48)
     pairs = [(l, n) for l in l_list for n in n_list if n >= spec.S * l]
+    if not pairs:
+        raise DomainViolation(f"no (l, n) in the grid satisfies n >= S*l (S = {spec.S})")
 
     height_rows = []
     fitted_kappa = Fraction(0)

@@ -1,11 +1,14 @@
 """End-to-end CLI: exit codes, report schema, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import subprocess_env
 from qforms.cli import EXIT_FAIL, EXIT_PASS, EXIT_UNDECIDED, EXIT_USAGE, main
@@ -195,6 +198,101 @@ def test_fixture_files_validate(capsys):
         assert code == EXIT_PASS, name
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"q": {"num": 2.9, "den": 1}}, id="q.num=2.9"),
+        pytest.param({"q": {"num": "2", "den": 1.0}}, id="q.den=1.0"),
+        pytest.param({"q": {"num": math.inf, "den": 1}}, id="q.num=Infinity"),
+        pytest.param({"q": {"num": "2.5", "den": 1}}, id="q.num='2.5'"),
+        pytest.param({"points": [{"alpha": "1", "s": 1.9}]}, id="s=1.9"),
+        pytest.param({"points": [{"alpha": "1", "s": True}]}, id="s=true"),
+        pytest.param({"points": [{"alpha": "1", "s": 0}]}, id="s=0"),
+        pytest.param({"points": [{"alpha": "1/0", "s": 1}]}, id="alpha=1/0"),
+        pytest.param({"P": [math.inf, "1"]}, id="P=Infinity"),
+        pytest.param({"P": [math.nan, "1"]}, id="P=NaN"),
+        pytest.param({"P": "01"}, id="P=string"),
+    ],
+)
+def test_spec_values_are_refused_not_truncated(capsys, tmp_path, overrides):
+    code, report = run_cli(capsys, "validate", write_spec(tmp_path, **overrides))
+    assert code == EXIT_USAGE
+    assert report["verdict"] == "spec-error"
+    assert report["error"]["type"] == "SpecFileError"
+
+
+def test_integer_strings_are_accepted(capsys, tmp_path):
+    spec = write_spec(
+        tmp_path, q={"num": "-3", "den": " 2 "}, points=[{"alpha": "1", "s": "2"}]
+    )
+    code, report = run_cli(capsys, "validate", spec)
+    assert code == EXIT_PASS
+    assert report["payload"]["spec"]["q"] == {"num": "-3", "den": "2"}
+    assert report["payload"]["spec"]["points"] == [{"alpha": "1", "s": 2}]
+
+
+# Spec-file JSON: mostly well-typed small entries, mixed with junk values of
+# every type, missing and extra keys; entries stay small, so each example
+# validates quickly.
+_int = st.integers(-100, 100)
+_junk = st.one_of(
+    st.floats(-100, 100).map(lambda x: round(x, 2)),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.lists(_int, max_size=2),
+    st.integers(-2, 0),
+)
+
+
+def _mostly(good):
+    """A value from good, or about one time in twenty a junk value (7, not
+    a bound: hypothesis draws the bounds of a range more often)."""
+    return st.integers(0, 19).flatmap(lambda i: _junk if i == 7 else good)
+
+
+def _integer(low=-100, high=100):
+    return _mostly(st.one_of(st.integers(low, high), st.integers(low, high).map(str)))
+
+
+_rational = _mostly(st.one_of(
+    _int, st.fractions(-100, 100, max_denominator=100).map(str)
+))
+_point = _mostly(st.fixed_dictionaries(
+    {"alpha": _rational, "s": _mostly(st.integers(1, 3))}, optional={"x": _junk}
+))
+_spec_json = st.builds(
+    lambda spec, dropped: {k: v for k, v in spec.items() if k not in dropped},
+    st.fixed_dictionaries(
+        {
+            "q": _mostly(st.fixed_dictionaries({"num": _integer(), "den": _integer(1, 9)})),
+            "P": _mostly(st.lists(_rational, min_size=1, max_size=4)),
+            "points": _mostly(st.lists(_point, min_size=1, max_size=3)),
+        },
+        optional={
+            "precision_bits": _integer(),
+            "caps": _mostly(st.fixed_dictionaries(
+                {}, optional={"precision_cap": _integer(), "retry_cap": _integer()}
+            )),
+            "extra": _junk,
+        },
+    ),
+    st.sampled_from([()] * 5 + [("q",), ("P",), ("points",)]),
+)
+
+
+@given(st.one_of(_spec_json, _junk))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_spec_files_exit_0_or_3(capsys, tmp_path, data):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data))
+    code = main(["validate", str(path)])
+    capsys.readouterr()
+    assert code in (EXIT_PASS, EXIT_USAGE)
+
+
 def run_cli_process(spec_path, *argv, env_extra=None):
     """Run the CLI in a fresh interpreter; a hang fails the test by timeout."""
     return subprocess.run(
@@ -265,33 +363,39 @@ def test_negative_leading_entry_needs_equals_form(capsys, tmp_path):
 
 def _integer_flag_grid():
     """Every integer flag of the 8 subcommands over -2..2: one flag, or one
-    --l/--n style pair, at a time, with the other flags kept small."""
-    values = [str(v) for v in range(-2, 3)]
-    for v in values:
-        yield ["validate", "--threads", v]
-        yield ["params", "--threads", v]
-        yield ["verify", "--n-max", v, "--series-n", "2"]
-        yield ["verify", "--n-max", "2", "--l-max", v, "--series-n", "2"]
-        yield ["verify", "--n-max", "2", "--series-n", v]
-        yield ["certify", "--A=1,1", "--l-override", v]
-        yield ["scan", "--hmax", v]
-        yield ["scan", "--hmax", "3", "--random", v]
-        for w in values:
-            yield ["forms", "--l", v, "--n", w]
-            yield ["nonvanish", "--l0", v, "--n0", w, "--omega=1,1"]
-            yield ["bounds", "--l-list=1", "--n-max", v, "--n-step", w]
+    --l/--n style pair, at a time, with the other flags kept small. Each
+    argv comes with whether a value lies outside its command's domain on
+    FIX-A (S = d = 1), which must exit 3."""
+    values = range(-2, 3)
+    for a in values:
+        v = str(a)
+        yield ["validate", "--threads", v], False
+        yield ["params", "--threads", v], False
+        yield ["verify", "--n-max", v, "--series-n", "2"], False
+        yield ["verify", "--n-max", "2", "--l-max", v, "--series-n", "2"], a < 1
+        yield ["verify", "--n-max", "2", "--series-n", v], a < 0
+        yield ["certify", "--A=1,1", "--l-override", v], a < 0
+        yield ["scan", "--hmax", v], a < 2
+        yield ["scan", "--hmax", "3", "--random", v], a < 1
+        for b in values:
+            w = str(b)
+            yield ["forms", "--l", v, "--n", w], a < 0 or b < a
+            yield ["nonvanish", "--l0", v, "--n0", w, "--omega=1,1"], a < 0 or b < a
+            yield ["bounds", "--l-list=1", "--n-max", v, "--n-step", w], a < 1 or b < 1
 
 
 def test_integer_flag_grid_exits_with_documented_codes(capsys):
     spec = str(FIXTURES / "fixtureA.json")
     bad = []
-    for argv in _integer_flag_grid():
+    for argv, outside in _integer_flag_grid():
         try:
             code = main([*argv, spec])
         except Exception as exc:
             bad.append((argv, repr(exc)))
         else:
-            if code not in (EXIT_PASS, EXIT_FAIL, EXIT_UNDECIDED, EXIT_USAGE):
+            if outside != (code == EXIT_USAGE) or code not in (
+                EXIT_PASS, EXIT_FAIL, EXIT_UNDECIDED, EXIT_USAGE
+            ):
                 bad.append((argv, code))
         capsys.readouterr()
     assert bad == []

@@ -9,10 +9,10 @@ from conftest import SRC, subprocess_env
 CORRUPTED_W_FORM = """
 from fractions import Fraction as F
 from qforms import validate_spec
-from qforms.forms import _state, w_form
+from qforms.forms import w_form
 
 spec = validate_spec(3, 2, [0, F(1, 3), 1], [(F(5, 7), 2)])  # FIX-D
-_state(spec).clearing_D = 1  # the true clearing denominator is 42
+spec.__dict__["clearing_D"] = 1  # plant the memo; the true clearing denominator is 42
 try:
     w_form(spec, 1, 2)
 except AssertionError as exc:

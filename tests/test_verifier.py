@@ -91,6 +91,11 @@ class TestBoundsReport:
         pairs = {(r.l, r.n) for r in report.height_rows}
         assert pairs == {(0, 1), (0, 3), (0, 6), (1, 1), (1, 3), (1, 6)}
 
+    def test_empty_grid_is_a_domain_violation(self, fix_d):
+        # S = 2: v_(l,n) needs n >= 2 l, which no pair of this grid meets
+        with pytest.raises(DomainViolation):
+            bounds_report(fix_d, [2, 3], [0, 1, 3], precision_bits=512)
+
     def test_csv_rows(self, fix_a):
         report = bounds_report(fix_a, [1], [2, 4], precision_bits=512)
         rows = report.csv_rows()
