@@ -323,7 +323,7 @@ def _emit(args, report: dict) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(args, payload: dict, csv_rows: Optional[list]) -> None:
+def _write_csv(args, csv_rows: Optional[list]) -> None:
     if not args.csv or not csv_rows:
         return
     with open(args.csv, "w", newline="") as fh:
@@ -372,7 +372,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "verdict": verdict,
     }
     _emit(args, report)
-    _write_csv(args, payload, csv_rows)
+    _write_csv(args, csv_rows)
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "undecided": EXIT_UNDECIDED}[verdict]
 
 

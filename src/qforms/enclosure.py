@@ -83,9 +83,6 @@ class Enclosure:
     def excludes_zero(self) -> bool:
         return self.lo > 0 or self.hi < 0
 
-    def is_positive(self) -> bool:
-        return self.lo > 0
-
     def is_negative(self) -> bool:
         return self.hi < 0
 
@@ -147,9 +144,6 @@ class Enclosure:
         if self.hi <= 0:
             return -self
         return Enclosure(Fraction(0), max(-self.lo, self.hi))
-
-    def intersect(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def outward_round(self, bits: int) -> "Enclosure":
         """Push endpoints outward onto the dyadic grid of spacing 2^-bits."""
@@ -283,6 +277,13 @@ def log_enclosure(x: ScalarLike, bits: int) -> Enclosure:
         if out.width <= target:
             return out
         guard *= 2
+
+
+def log_of_enclosure(x: Enclosure, bits: int = 48) -> Enclosure:
+    """Enclosure of ln over a strictly positive interval."""
+    if x.lo <= 0:
+        raise ValueError("log_of_enclosure requires a strictly positive interval")
+    return Enclosure(log_enclosure(x.lo, bits).lo, log_enclosure(x.hi, bits).hi)
 
 
 def sqrt_enclosure(x: ScalarLike, bits: int) -> Enclosure:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainViolation
 from .problem import ProblemSpec
@@ -89,9 +89,6 @@ class LinearForm:
         b = math.lcm(*(v.denominator for v in vec))
         dot = sum(a * (v.numerator * (b // v.denominator)) for a, v in zip(self.nums, vec))
         return LinearForm((dot,), self.den * b)
-
-
-VProvider = Callable[[ProblemSpec, int], LinearForm]
 
 
 @dataclass(frozen=True)
@@ -192,25 +189,19 @@ def operator_poly(spec: ProblemSpec, l: int, delta: int = 0) -> OperatorPoly:
     return poly
 
 
-def _apply_operator(
-    spec: ProblemSpec, l: int, delta: int, index: int, v_at: VProvider
-) -> LinearForm:
-    """The (l, delta) operator product applied to the v-sequence at index,
-    with v_i read from v_at(spec, i). The B^0 coefficient is always 1."""
+def vl_form(spec: ProblemSpec, l: int, n: int, delta: int = 0) -> LinearForm:
+    """v_{l,n}: the order-l operator product with shift index delta (see
+    operator_poly) applied to the v-sequence at n. The B^0 coefficient is
+    always 1."""
+    if n < spec.S * l:
+        raise DomainViolation(f"v_(l,n) requires n >= S*l = {spec.S * l}, got n = {n}")
     op = operator_poly(spec, l, delta)
-    acc = v_at(spec, index)
+    acc = v_form(spec, n)
     for t in range(1, len(op.coeffs)):
         c = op.coeffs[t]
         if c != 0:
-            acc = acc + v_at(spec, index - t).scale(c)
+            acc = acc + v_form(spec, n - t).scale(c)
     return acc
-
-
-def vl_form(spec: ProblemSpec, l: int, n: int) -> LinearForm:
-    """v_{l,n}: the order-l operator product applied to the v-sequence at n."""
-    if n < spec.S * l:
-        raise DomainViolation(f"v_(l,n) requires n >= S*l = {spec.S * l}, got n = {n}")
-    return _apply_operator(spec, l, 0, n, v_form)
 
 
 def w_form(spec: ProblemSpec, l: int, n: int) -> LinearForm:

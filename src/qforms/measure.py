@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .enclosure import Enclosure, ceil_sqrt, log_enclosure, sqrt_enclosure
+from .enclosure import Enclosure, ceil_sqrt, log_enclosure, log_of_enclosure, sqrt_enclosure
 from .errors import (
     DimensionTooLargeForExhaustive,
     NotApplicable,
@@ -30,7 +30,6 @@ from .forms import evaluate_exact, w_form
 from .problem import MeasureParams, ProblemSpec, measure_params
 from .series import OmegaVector, evaluate_form, lambda_enclosure, omega_from_vector
 from .util import PrecisionPolicy
-from .verifier import log_of_enclosure
 
 HALF = Fraction(1, 2)
 
@@ -311,8 +310,10 @@ def exponent_scan(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     policy = PrecisionPolicy(precision_bits, precision_cap)
+    mu_hi = params.mu.hi
 
-    def scan_height(H: int) -> ScanRow:
+    def scan_height(H: int) -> tuple[ScanRow, Fraction]:
+        """The row at height H and its fitted constant (exponent - mu) sqrt(ln H)."""
         if strategy == "exhaustive":
             shell = _shell_vectors(dim, H)
         else:
@@ -334,18 +335,14 @@ def exponent_scan(
         log_lam = log_of_enclosure(lam)
         log_H = log_enclosure(H, 48)
         exponent = -log_lam / log_H
-        return ScanRow(H, best_A, lam, exponent)
+        slack = exponent.hi - mu_hi
+        root = sqrt_enclosure(log_H.hi, 48)
+        return ScanRow(H, best_A, lam, exponent), slack * (root.hi if slack >= 0 else root.lo)
 
-    rows = [scan_height(H) for H in heights]
-
+    scanned = [scan_height(H) for H in heights]
+    rows = [row for row, _ in scanned]
     max_row = max(rows, key=lambda r: (r.empirical_exponent.hi, r.H))
-    fitted_C = Fraction(0)
-    mu_hi = params.mu.hi
-    for r in rows:
-        slack = r.empirical_exponent.hi - mu_hi
-        root = sqrt_enclosure(log_enclosure(r.H, 48).hi, 48)
-        c_row = slack * (root.hi if slack >= 0 else root.lo)
-        fitted_C = max(fitted_C, c_row)
+    fitted_C = max(Fraction(0), *(c_row for _, c_row in scanned))
     return ExponentScanReport(
         tuple(rows), params.mu, max_row.empirical_exponent, fitted_C
     )

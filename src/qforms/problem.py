@@ -220,7 +220,7 @@ def validate_spec(
 
     q is reduced automatically; |q1| <= |q2| is rejected. The remaining
     checks are the exact versions of the admissibility conditions:
-    P(q^n) != 0 for n in N (finite dominance bound), alpha_j/alpha_k not a
+    P(q^n) != 0 for n in N (rational root theorem), alpha_j/alpha_k not a
     q-power for j != k, and alpha_j != P(0) q^n for n >= 1.
     """
     if q_den == 0:
@@ -249,10 +249,17 @@ def validate_spec(
         pts.append((alpha, int(s)))
     spec = ProblemSpec(q1, q2, P, tuple(pts))
 
-    # P(q^n) != 0 for all n >= 1, via the dominance bound
-    for n in range(1, spec.dominance_index + 1):
+    # P(q^n) != 0 for all n >= 1. The integer-cleared P is z^k R(z), R(0) = c != 0;
+    # by the rational root theorem a root q1^n/q2^n (lowest terms) of R needs
+    # q1^n | c, which as |q1| >= 2 holds for at most c.bit_length() values of n.
+    clear = math.lcm(*(a.denominator for a in P.coefficients))
+    low = next(a for a in P.coefficients if a != 0)
+    c = low.numerator * (clear // low.denominator)
+    n = 1
+    while c % q1 ** n == 0:
         if P(q ** n) == 0:
             raise PRootAtQPower(n)
+        n += 1
 
     # condition 1: alpha_j / alpha_k not in q^Z
     for j in range(len(pts)):

@@ -22,7 +22,6 @@ from .enclosure import Enclosure
 from .errors import PrecisionCapExceeded
 from .forms import (
     LinearForm,
-    VProvider,
     evaluate_exact,
     falling_factorial,
     p_at,
@@ -150,15 +149,6 @@ def functional_equation_residual(
     v_n(omega) is obtained by evaluating the cached v-forms, which makes
     this a genuine cross-check of the form recurrence rather than a
     restatement of the value recurrence.
-    """
-    return _residuals(spec, omega_rest, omega0, N, v_form)
-
-
-def _residuals(
-    spec: ProblemSpec, omega_rest: Sequence, omega0, N: int, v_at: VProvider
-) -> list[Fraction]:
-    """functional_equation_residual with v_n read from v_at(spec, n), the
-    hook through which check_identities substitutes a v-engine.
 
     Values stay one-slot forms over unreduced denominators, so each
     residual is an integer numerator; only a nonzero one costs a gcd.
@@ -166,7 +156,7 @@ def _residuals(
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     vec = (Fraction(omega0),) + tuple(Fraction(c) for c in omega_rest)
-    v_vals = [v_at(spec, n).at(vec) for n in range(N + 1)]
+    v_vals = [v_form(spec, n).at(vec) for n in range(N + 1)]
     u_vals = [u_form(spec, n).at(vec) for n in range(N + 1)]  # u_n has no x_0 term
     p = spec.P.coefficients
     q = spec.q

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .enclosure import Enclosure, log_enclosure
+from .enclosure import Enclosure, log_enclosure, log_of_enclosure
 from .errors import DomainViolation, ZeroOmega
 from .forms import (
     LinearForm,
-    VProvider,
-    _apply_operator,
     evaluate_exact,
     expand_shift_factors,
     form_height,
@@ -30,7 +28,7 @@ from .forms import (
     w_form,
 )
 from .problem import ProblemSpec
-from .series import OmegaVector, _residuals, evaluate_form, omega_from_vector
+from .series import OmegaVector, evaluate_form, functional_equation_residual, omega_from_vector
 from .util import PrecisionPolicy, random_rational, random_rational_vector
 
 
@@ -72,11 +70,11 @@ def _form_str(form: LinearForm) -> str:
     return "[" + ", ".join(str(c) for c in form.coeffs) + "]"
 
 
-def _check_recurrence(spec: ProblemSpec, n_max: int, v_at: VProvider) -> IdentityCheck:
+def _check_recurrence(spec: ProblemSpec, n_max: int) -> IdentityCheck:
     domain = f"1 <= n <= {n_max}, coefficient-wise"
     for n in range(1, n_max + 1):
-        lhs = v_at(spec, n)
-        rhs = v_at(spec, n - 1).scale(p_at(spec, n)) + u_form(spec, n)
+        lhs = v_form(spec, n)
+        rhs = v_form(spec, n - 1).scale(p_at(spec, n)) + u_form(spec, n)
         if lhs != rhs:
             return IdentityCheck(
                 "recurrence",
@@ -129,21 +127,17 @@ def _check_annihilation(rng: random.Random, trials: int = 20) -> IdentityCheck:
     return IdentityCheck("annihilation", domain, True)
 
 
-def _check_main_relation(
-    spec: ProblemSpec, l_max: int, v_at: VProvider
-) -> IdentityCheck:
+def _check_main_relation(spec: ProblemSpec, l_max: int) -> IdentityCheck:
     d = spec.d
     domain = f"{d} <= l <= {l_max}, S*l <= n <= S*l + 10, coefficient-wise"
     p = spec.P.coefficients
     q = spec.q
     for l in range(d, l_max + 1):
         for n in range(spec.S * l, spec.S * l + 11):
-            lhs = _apply_operator(spec, l, 0, n, v_at).scale(p[d])
-            rhs = _apply_operator(spec, l, d, n + 1, v_at).scale(q ** (-d * (n + 1)))
+            lhs = vl_form(spec, l, n).scale(p[d])
+            rhs = vl_form(spec, l, n + 1, d).scale(q ** (-d * (n + 1)))
             for nu in range(1, d + 1):
-                term = _apply_operator(spec, l, nu, n, v_at).scale(
-                    p[d - nu] * q ** (-nu * (n + 1))
-                )
+                term = vl_form(spec, l, n, nu).scale(p[d - nu] * q ** (-nu * (n + 1)))
                 rhs = rhs - term
             if lhs != rhs:
                 return IdentityCheck(
@@ -156,14 +150,13 @@ def _check_main_relation(
 
 
 def _check_functional_equation(
-    spec: ProblemSpec, series_N: int, rng: random.Random, omega_count: int,
-    v_at: VProvider,
+    spec: ProblemSpec, series_N: int, rng: random.Random, omega_count: int
 ) -> IdentityCheck:
     domain = f"{omega_count} seeded rational omega, degrees 0..{series_N}"
     for trial in range(omega_count):
         omega0 = random_rational(rng)
         rest = random_rational_vector(rng, spec.n_vars - 1)
-        residuals = _residuals(spec, rest, omega0, series_N, v_at)
+        residuals = functional_equation_residual(spec, rest, omega0, series_N)
         for n, r in enumerate(residuals):
             if r != 0:
                 return IdentityCheck(
@@ -183,26 +176,23 @@ def check_identities(
     series_N: int = 100,
     rng_seed: int = 0,
     omega_count: int = 5,
-    v_provider: Optional[VProvider] = None,
 ) -> IdentityReport:
     """Run the five exact identity checks over their stated grids.
 
-    v_provider is a hook for mutation testing: it substitutes the engine
-    whose output the recurrence, main-relation, and functional-equation
-    checks consume.
+    The recurrence, main-relation and functional-equation checks read the
+    v-sequence from v_form, so they check the memo on the spec itself.
     """
     if l_max is None:
         l_max = spec.d + 3
     if l_max < spec.d:
         raise DomainViolation("l_max must be at least d")
     rng = random.Random(rng_seed)
-    v_at = v_provider if v_provider is not None else v_form
     checks = (
-        _check_recurrence(spec, n_max, v_at),
+        _check_recurrence(spec, n_max),
         _check_shift_identity(rng),
         _check_annihilation(rng),
-        _check_main_relation(spec, l_max, v_at),
-        _check_functional_equation(spec, series_N, rng, omega_count, v_at),
+        _check_main_relation(spec, l_max),
+        _check_functional_equation(spec, series_N, rng, omega_count),
     )
     return IdentityReport(checks)
 
@@ -210,13 +200,6 @@ def check_identities(
 # ---------------------------------------------------------------------------
 # growth / smallness report
 # ---------------------------------------------------------------------------
-
-
-def log_of_enclosure(x: Enclosure, bits: int = 48) -> Enclosure:
-    """Enclosure of ln over a strictly positive interval."""
-    if x.lo <= 0:
-        raise ValueError("log_of_enclosure requires a strictly positive interval")
-    return Enclosure(log_enclosure(x.lo, bits).lo, log_enclosure(x.hi, bits).hi)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end CLI: exit codes, report schema, determinism."""
 
+import csv
 import json
 import math
 import subprocess
@@ -190,6 +191,38 @@ def test_bounds_report_runs(capsys, tmp_path):
     )
     assert code == EXIT_PASS
     assert "fitted_kappa" in report["payload"]
+
+
+def test_bounds_csv(capsys, tmp_path):
+    sidecar = tmp_path / "rows.csv"
+    code = main(
+        ["--csv", str(sidecar), "bounds", "--l-list", "1,2", "--n-list", "2,4,6",
+         write_spec(tmp_path, precision_bits=512)]
+    )
+    assert code == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)["payload"]
+    with open(sidecar, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == [
+        "kind", "omega", "l", "n", "lo", "hi", "main_term", "residual_lo", "residual_hi"
+    ]
+    # FIX-A, S = 1: all six (l, n) pairs, and two omega variants (one unit, one random)
+    assert [r["kind"] for r in rows] == ["height"] * 6 + ["smallness"] * 12
+    assert len(report["height_rows"]) == 6 and len(report["smallness_rows"]) == 12
+    heights = [(r["l"], r["n"]) for r in rows if r["kind"] == "height"]
+    assert heights == [(l, n) for l in "12" for n in "246"]
+
+
+def test_validate_tiny_leading_coefficient_in_bounded_time(tmp_path):
+    # q = 100/99 and p_1 = 10^-60: P(q^n) != 0 is decided without walking
+    # n up to the dominance index (about 14,000 here)
+    spec = write_spec(tmp_path, q={"num": "100", "den": "99"}, P=["100", f"1/{10**60}"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qforms.cli", "validate", spec],
+        capture_output=True, text=True, env=subprocess_env(), timeout=10,
+    )
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    assert json.loads(proc.stdout)["payload"]["valid"] is True
 
 
 def test_fixture_files_validate(capsys):

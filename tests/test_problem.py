@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mpf_to_fraction
 from qforms import (
@@ -93,6 +95,34 @@ class TestValidate:
             validate_spec(2, 1, [0, 1], [(F(1), 0)])  # s = 0
         with pytest.raises(InvalidSpec):
             validate_spec(2, 1, [0, 1], [])  # no points
+
+    @given(
+        q=st.fractions(-9, 9, max_denominator=6).filter(lambda q: abs(q) > 1),
+        roots=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+        cofactor=st.lists(st.fractions(-9, 9, max_denominator=5), min_size=1, max_size=3)
+        .filter(any),
+        z_power=st.integers(0, 2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_planted_q_power_roots(self, q, roots, cofactor, z_power):
+        # P = z^k * cofactor * prod (z - q^m), as coefficients p_0 .. p_d
+        coeffs = [F(0)] * z_power + list(cofactor)
+        for m in roots:
+            root = q ** m
+            coeffs = [-root * coeffs[0]] + [
+                a - root * b for a, b in zip(coeffs[:-1], coeffs[1:])
+            ] + [coeffs[-1]]
+        while coeffs[-1] == 0:
+            coeffs.pop()
+
+        def plain_value(x):
+            return sum(c * x ** i for i, c in enumerate(coeffs))
+
+        least = next(n for n in range(1, max(roots) + 1) if plain_value(q ** n) == 0)
+        assert least <= min(roots)
+        with pytest.raises(PRootAtQPower) as exc:
+            validate_spec(q.numerator, q.denominator, coeffs, [(F(1), 1)])
+        assert exc.value.n == least
 
     def test_deterministic(self):
         a = validate_spec(2, 1, [0, F(1, 3)], [(F(5, 7), 2)])

@@ -38,3 +38,19 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == [], f"assert statements vanish under python -O: {offenders}"
+
+
+def test_package_imports_no_private_names_across_modules():
+    offenders = []
+    for path in sorted((SRC / "qforms").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            internal = isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.startswith("qforms")
+            )
+            if internal:
+                offenders += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert offenders == [], f"private names imported from another qforms module: {offenders}"

@@ -33,25 +33,26 @@ class TestCheckIdentities:
                 "functional_equation",
             }
 
-    def test_mutation_control_fails_recurrence(self, fix_a):
+    def test_mutation_control_fails_recurrence(self):
+        from qforms import validate_spec
         from qforms.forms import p_at
 
-        def mutated_v(spec, n):
-            # deliberate off-by-one: scales by P(q^(n+1)) instead of P(q^n)
-            if n == 0:
-                return v_form(spec, 0)
-            return mutated_v(spec, n - 1).scale(p_at(spec, n + 1)) + u_form(spec, n)
+        # a fresh FIX-A spec: the planted v-memo must not reach other tests
+        spec = validate_spec(2, 1, [0, 1], [(F(1), 1)])
+        # deliberate off-by-one: scales by P(q^(n+1)) instead of P(q^n)
+        mutated = [v_form(spec, 0)]
+        for n in range(1, 40):
+            mutated.append(mutated[-1].scale(p_at(spec, n + 1)) + u_form(spec, n))
+        spec.v_forms.update(enumerate(mutated))
 
-        report = check_identities(
-            fix_a, n_max=10, series_N=10, omega_count=1, v_provider=mutated_v
-        )
+        report = check_identities(spec, n_max=10, series_N=10, omega_count=1)
         assert not report.all_passed
         by_name = {c.name: c for c in report.checks}
         rec = by_name["recurrence"]
         assert not rec.passed
         assert rec.counterexample["n"] == 1
         assert "lhs" in rec.counterexample and "rhs" in rec.counterexample
-        # the operator and residual checks read the substituted engine too
+        # the operator and residual checks read the planted sequence too
         assert not by_name["main_relation"].passed
         assert not by_name["functional_equation"].passed
 
