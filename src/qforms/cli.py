@@ -34,7 +34,7 @@ from .problem import (
     measure_params,
     validate_spec,
 )
-from .util import DEFAULT_PRECISION_CAP, PrecisionPolicy
+from .util import DEFAULT_PRECISION_CAP, DEFAULT_RETRY_CAP, DEFAULT_START_BITS, PrecisionPolicy
 
 SCHEMA = "qforms/1"
 
@@ -69,14 +69,18 @@ def load_spec_file(path: str) -> tuple[ProblemSpec, int, dict]:
         caps = dict(raw.get("caps", {}))
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise SpecFileError(f"malformed spec file {path}: {exc}") from exc
-    precision_bits = _positive_int(raw.get("precision_bits", 256), "precision_bits")
+    precision_bits = _positive_int(raw.get("precision_bits", DEFAULT_START_BITS), "precision_bits")
     caps.setdefault("precision_cap", DEFAULT_PRECISION_CAP)
-    caps.setdefault("retry_cap", 8)
+    caps.setdefault("retry_cap", DEFAULT_RETRY_CAP)
     env_cap = os.environ.get("QFORMS_PRECISION_CAP")
     if env_cap is not None:
         caps["precision_cap"] = env_cap
     for key in ("precision_cap", "retry_cap"):
         caps[key] = _positive_int(caps[key], f"caps.{key}")
+    if precision_bits > caps["precision_cap"]:  # each precision ladder starts at precision_bits
+        raise SpecFileError(
+            f"precision_bits {precision_bits} exceeds the precision cap {caps['precision_cap']}"
+        )
     return spec, precision_bits, caps
 
 

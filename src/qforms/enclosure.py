@@ -5,14 +5,17 @@ rounding is involved there; outward rounding enters only through the dyadic
 transcendental kernels (`log_enclosure`, `sqrt_enclosure`) and the explicit
 `outward_round` used to keep endpoint bit-sizes bounded.
 
-The logarithm kernel is deliberately self-contained and deterministic:
-argument reduction to [1, 2) followed by the atanh series
+The logarithm kernel is self-contained, deterministic and runs on
+integers only. x = a/b is reduced by shifts to m = x / 2^e in [1, 2), m is
+bracketed on the 2^-w grid by the integer floor and ceiling of a 2^(w-e) / b,
+and the atanh series
 
     ln m = 2 * sum_{k>=0} t^(2k+1) / (2k+1),   t = (m-1)/(m+1) in [0, 1/3],
 
-evaluated twice in integer fixed point, once with all roundings floored
-(lower bound) and once with all roundings ceiled plus a geometric tail
-majorant (upper bound).
+is evaluated in integer fixed point by one function, with every division
+floored for the lower bound and ceiled, plus a geometric tail majorant, for
+the upper bound (Brent & Zimmermann, Modern Computer Arithmetic, chapters 3-4).
+Fractions appear only at the boundary: the argument and the two endpoints.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 Rational = Fraction
@@ -28,14 +32,12 @@ ScalarLike = Union[Fraction, int]
 
 def floor_to_grid(x: Fraction, bits: int) -> Fraction:
     """Largest multiple of 2^-bits that is <= x."""
-    scaled = x * (1 << bits)
-    return Fraction(math.floor(scaled), 1 << bits)
+    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
 
 
 def ceil_to_grid(x: Fraction, bits: int) -> Fraction:
     """Smallest multiple of 2^-bits that is >= x."""
-    scaled = x * (1 << bits)
-    return Fraction(math.ceil(scaled), 1 << bits)
+    return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
 
 
 @dataclass(frozen=True)
@@ -159,123 +161,70 @@ class Enclosure:
 
 
 # ---------------------------------------------------------------------------
-# Directed fixed-point atanh series
+# Directed fixed-point logarithm
 # ---------------------------------------------------------------------------
 
 
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
+def _atanh_scaled(a: int, b: int, w: int, up: bool) -> int:
+    """Integer bound on atanh(a/b) * 2^w for 0 <= a/b <= 1/3: a lower bound
+    when up is False (every division floored), an upper bound when up is True
+    (every division ceiled).
 
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _atanh_scaled_lower(t: Fraction, w: int) -> int:
-    """Integer L with L <= atanh(t) * 2^w, for 0 <= t <= 1/3.
-
-    Every rounding floors, so each computed term underestimates the true
-    term and dropping the tail only lowers the sum further.
-    """
-    if t == 0:
-        return 0
-    scale = 1 << w
-    t2 = t * t
-    p = _floor_frac(t * scale)  # p <= t^(2k+1) * 2^w throughout
-    total = 0
-    k = 0
-    while p > 0:
-        total += p // (2 * k + 1)
-        p = _floor_frac(p * t2)
-        k += 1
-    return total
-
-
-def _atanh_scaled_upper(t: Fraction, w: int) -> int:
-    """Integer U with U >= atanh(t) * 2^w, for 0 <= t <= 1/3.
-
-    Every rounding ceils; once the running power drops below a small
-    threshold the remaining tail is majorized by the geometric series
+    p holds t^(2k+1) * 2^w, t = a/b, rounded the same way as the sum.
+    Dropping the tail only lowers the floored sum; the ceiled sum adds, once
+    p <= 8, the geometric majorant
     sum_{j>=k} t^(2j+1) <= t^(2k+1) / (1 - t^2) <= (9/8) t^(2k+1).
     """
-    if t == 0:
-        return 0
-    scale = 1 << w
-    t2 = t * t
-    p = _ceil_frac(t * scale)  # p >= t^(2k+1) * 2^w throughout
-    total = 0
-    k = 0
-    while p > 8:
-        total += _ceil_frac(Fraction(p, 2 * k + 1))
-        p = _ceil_frac(p * t2)
+    s = -1 if up else 1  # n // d floors; -(-n // d) ceils: s * (s * n // d)
+    a2, b2 = a * a, b * b
+    p = s * ((s * a << w) // b)
+    total = k = 0
+    while p > (8 if up else 0):
+        total += s * (s * p // (2 * k + 1))
+        p = s * (s * p * a2 // b2)
         k += 1
-    total += _ceil_frac(Fraction(9 * p, 8))
+    if up:
+        total -= -9 * p // 8
     return total
 
 
-def _ln_reduced_scaled(m_lo: Fraction, m_hi: Fraction, w: int) -> tuple[int, int]:
-    """Scaled bounds (lo, hi) of ln over [m_lo, m_hi] subset of [1, 2]."""
-    t_lo = (m_lo - 1) / (m_lo + 1)
-    t_hi = (m_hi - 1) / (m_hi + 1)
-    return 2 * _atanh_scaled_lower(t_lo, w), 2 * _atanh_scaled_upper(t_hi, w)
-
-
-_LN2_CACHE: dict[int, tuple[int, int]] = {}
-
-
+@lru_cache
 def _ln2_scaled(w: int) -> tuple[int, int]:
-    cached = _LN2_CACHE.get(w)
-    if cached is None:
-        third = Fraction(1, 3)
-        cached = (2 * _atanh_scaled_lower(third, w), 2 * _atanh_scaled_upper(third, w))
-        _LN2_CACHE[w] = cached
-    return cached
-
-
-def _log_attempt(m: Fraction, e: int, w: int) -> Enclosure:
-    m_lo = floor_to_grid(m, w)
-    m_hi = ceil_to_grid(m, w)  # may equal 2 exactly; t then equals 1/3
-    s_lo, s_hi = _ln_reduced_scaled(m_lo, m_hi, w)
-    ln2_lo, ln2_hi = _ln2_scaled(w)
-    if e >= 0:
-        lo = e * ln2_lo + s_lo
-        hi = e * ln2_hi + s_hi
-    else:
-        lo = e * ln2_hi + s_lo
-        hi = e * ln2_lo + s_hi
-    return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
+    """Floor and ceiling bounds on ln 2 * 2^w, from ln 2 = 2 atanh(1/3)."""
+    return 2 * _atanh_scaled(1, 3, w, False), 2 * _atanh_scaled(1, 3, w, True)
 
 
 def log_enclosure(x: ScalarLike, bits: int) -> Enclosure:
-    """Enclosure of ln(x) for rational x > 0, width <= 2^-bits.
+    """Enclosure of ln(x) for rational x = a/b > 0, width <= 2^-bits.
 
-    x is first rounded outward to dyadics with bits + guard significant
-    bits so that huge integer inputs (form heights) stay cheap, then each
-    dyadic bound is reduced to [1, 2) and fed to the directed series.
-    The reduction exponent e multiplies the ln 2 slack, so the guard is
-    grown until the requested width is actually met.
+    With x = m 2^e and m in [1, 2), ln x = e ln 2 + 2 atanh((m-1)/(m+1)).
+    m is bracketed on the 2^-w grid by M_lo = floor(a 2^(w-e) / b) and
+    M_hi = ceil(a 2^(w-e) / b), so huge integer inputs (form heights) stay
+    cheap, and t = (M - 2^w)/(M + 2^w) goes to the directed series as an
+    integer pair. The exponent e multiplies the ln 2 slack, so the guard
+    w - bits is grown until the requested width is actually met.
     """
-    x = Fraction(x)
     if x <= 0:
         raise ValueError("log_enclosure requires a positive argument")
     if x == 1:
         return Enclosure.zero()
     a, b = x.numerator, x.denominator
     e = a.bit_length() - b.bit_length()
-    # make m = x / 2^e lie in [1, 2)
-    if e >= 0:
-        if a < b << e:
-            e -= 1
-    else:
-        if a << (-e) < b:
-            e -= 1
-    m = x / Fraction(2) ** e
-    target = Fraction(1, 1 << bits)
+    if a << max(-e, 0) < b << max(e, 0):  # make m = x / 2^e lie in [1, 2)
+        e -= 1
     guard = 12 + abs(e).bit_length() + bits.bit_length()
     while True:
-        out = _log_attempt(m, e, bits + guard)
-        if out.width <= target:
-            return out
+        w = bits + guard
+        one = 1 << w
+        num, den = (a << (w - e), b) if w >= e else (a, b << (e - w))
+        m_lo, m_hi = num // den, -(-num // den)  # m_hi may be 2^(w+1); t is then 1/3
+        ln2_lo, ln2_hi = _ln2_scaled(w)
+        if e < 0:
+            ln2_lo, ln2_hi = ln2_hi, ln2_lo
+        lo = 2 * _atanh_scaled(m_lo - one, m_lo + one, w, False) + e * ln2_lo
+        hi = 2 * _atanh_scaled(m_hi - one, m_hi + one, w, True) + e * ln2_hi
+        if hi - lo <= 1 << guard:
+            return Enclosure(Fraction(lo, one), Fraction(hi, one))
         guard *= 2
 
 
@@ -305,9 +254,4 @@ def sqrt_enclosure(x: ScalarLike, bits: int) -> Enclosure:
 
 def ceil_sqrt(x: Fraction) -> int:
     """Smallest integer k >= 0 with k*k >= x (x >= 0)."""
-    if x <= 0:
-        return 0
-    k = math.isqrt(x.numerator // x.denominator)
-    while Fraction(k * k) < x:
-        k += 1
-    return k
+    return math.isqrt(math.ceil(x) - 1) + 1 if x > 0 else 0

@@ -29,7 +29,7 @@ from .errors import (
 from .forms import evaluate_exact, w_form
 from .problem import MeasureParams, ProblemSpec, measure_params
 from .series import OmegaVector, evaluate_form, lambda_enclosure, omega_from_vector
-from .util import PrecisionPolicy
+from .util import DEFAULT_RETRY_CAP, PrecisionPolicy
 
 HALF = Fraction(1, 2)
 
@@ -115,7 +115,7 @@ def certify_lower_bound(
     A: Sequence[int],
     l_override: Optional[int] = None,
     policy: PrecisionPolicy = PrecisionPolicy(),
-    retry_cap: int = 8,
+    retry_cap: int = DEFAULT_RETRY_CAP,
     params: Optional[MeasureParams] = None,
 ) -> Certificate:
     """Produce a positive rational lower bound on |Lambda(A)| for A != 0.

@@ -96,17 +96,19 @@ class ProblemSpec:
 
         At every such k the leading term strictly dominates, so P(q^k) != 0.
         """
-        absq = abs(self.q)
-        lead = abs(self.P.leading)
+        # Times D q2^(dk), with D clearing P, the test is 2 sum_{nu<d} T_nu <= T_d
+        # on the integers T_nu = |D p_nu| |q1|^(nu k) q2^((d-nu) k); one
+        # multiplication by |q1|^nu q2^(d-nu) steps each from k to k + 1.
+        clear = math.lcm(*(c.denominator for c in self.P.coefficients))
+        q1, q2 = abs(self.q_num), abs(self.q_den)
+        steps = [q1 ** nu * q2 ** (self.d - nu) for nu in range(self.d + 1)]
+        terms = [abs(c.numerator) * (clear // c.denominator) * f
+                 for c, f in zip(self.P.coefficients, steps)]
         k = 1
-        while True:
-            lhs = sum(
-                abs(c) * absq ** (nu * k)
-                for nu, c in enumerate(self.P.coefficients[:-1])
-            )
-            if 2 * lhs <= lead * absq ** (self.d * k):
-                return k
+        while 2 * sum(terms[:-1]) > terms[-1]:
+            terms = [t * f for t, f in zip(terms, steps)]
             k += 1
+        return k
 
     @cached_property
     def var_indices(self) -> tuple[tuple[int, int, int], ...]:
@@ -355,41 +357,35 @@ def measure_params(
     (inapplicable); otherwise precision doubles up to the cap, and a tie
     at the cap raises UndecidableAtCap rather than guessing.
     """
-    for pb in PrecisionPolicy(precision_bits, precision_cap).ladder():
-        gamma = gamma_enclosure(spec, pb)
-        M = m_enclosure(spec, pb)
-        prod = M * gamma
-        if prod.hi < 1 or prod.lo >= 1:
-            break
-    else:
+    target = Fraction(1, 1 << precision_bits)
+    pb = mu = None
+    for rung in PrecisionPolicy(precision_bits, precision_cap).ladder():
+        gamma_r, M_r = gamma_enclosure(spec, rung), m_enclosure(spec, rung)
+        prod = M_r * gamma_r
+        if pb is None:
+            if prod.lo < 1 <= prod.hi:
+                continue
+            # the first separating rung fixes gamma, M and precision_bits
+            pb, gamma, M = rung, gamma_r, M_r
+            if prod.lo >= 1:
+                break
+        # applicable: mu = (M - 1) / (1 - M*gamma) wherever the denominator
+        # is certified positive (always at pb), refined to the requested width
+        if prod.hi < 1:
+            mu = (M_r - 1) / (1 - prod)
+            if mu.width <= target:
+                break
+    if pb is None:
         raise UndecidableAtCap(
-            f"gamma vs 1/M not separated at {pb} bits (M*gamma in "
+            f"gamma vs 1/M not separated at {rung} bits (M*gamma in "
             f"[{prod.lo}, {prod.hi}])"
         )
-    applicable = prod.hi < 1
-
-    mu = None
-    if applicable:
-        # (M - 1) / (1 - M*gamma); at pb the denominator is certified
-        # positive (that is the applicability certificate), so the first
-        # rung always yields an enclosure, then refinement proceeds up to
-        # the cap or the requested width.
-        target = Fraction(1, 1 << precision_bits)
-        for mu_pb in PrecisionPolicy(pb, precision_cap).ladder():
-            gamma_mu = gamma_enclosure(spec, mu_pb)
-            M_mu = m_enclosure(spec, mu_pb)
-            denom = 1 - M_mu * gamma_mu
-            if denom.lo > 0:
-                mu = (M_mu - 1) / denom
-                if mu.width <= target:
-                    break
-
     return MeasureParams(
         S=spec.S,
         eps0=spec.eps0,
         gamma=gamma,
         M=M,
         mu=mu,
-        applicable=applicable,
+        applicable=mu is not None,
         precision_bits=pb,
     )

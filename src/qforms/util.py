@@ -7,14 +7,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+DEFAULT_START_BITS = 256
 DEFAULT_PRECISION_CAP = 1 << 14
+DEFAULT_RETRY_CAP = 8
 
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
     """Escalation schedule for enclosure precision: double up to the cap."""
 
-    start_bits: int = 256
+    start_bits: int = DEFAULT_START_BITS
     cap_bits: int = DEFAULT_PRECISION_CAP
 
     def __post_init__(self):

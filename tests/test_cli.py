@@ -349,6 +349,9 @@ def run_cli_process(spec_path, *argv, env_extra=None):
         pytest.param({}, "abc", id="env_cap=abc"),
         pytest.param({}, "0", id="env_cap=0"),
         pytest.param({}, "-5", id="env_cap=-5"),
+        # a precision ladder that would start above its cap
+        pytest.param({"precision_bits": 10000000}, None, id="precision_bits>cap"),
+        pytest.param({"precision_bits": 4096}, "1024", id="precision_bits>env_cap"),
     ],
 )
 def test_bad_precision_values_exit_3(tmp_path, overrides, env_cap):

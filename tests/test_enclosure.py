@@ -1,5 +1,7 @@
 """Enclosure arithmetic soundness and the transcendental kernels."""
 
+import hashlib
+import random
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -131,3 +133,66 @@ def test_ceil_sqrt(x):
     assert F(k * k) >= x
     if k > 0:
         assert F((k - 1) * (k - 1)) < x
+
+
+# sha256 over the log_enclosure, sqrt_enclosure and outward_round endpoints
+# on golden_cases(); a kernel change that moves any endpoint must say why
+KERNEL_DIGEST = "cc659da0e81c597e18846dcd236e38d12cf6070fc5dbca8a3fe20a3b4ef0d109"
+
+
+def golden_cases(n: int = 2400):
+    """Seeded (x, bits) pairs: small and huge rationals, dyadics times 1, 3/2
+    and 4/3, x next to 1, integer heights, and x < 1; bits in 1..512."""
+    rng = random.Random(6)
+    for i in range(n):
+        kind = i % 6
+        if kind == 0:
+            x = F(rng.randint(1, 1000), rng.randint(1, 1000))
+        elif kind == 1:
+            x = F(rng.randrange(1, 10 ** rng.randint(1, 300)),
+                  rng.randrange(1, 10 ** rng.randint(1, 300)))
+        elif kind == 2:
+            x = rng.choice((F(1), F(3, 2), F(4, 3))) * F(2) ** rng.randint(-300, 300)
+        elif kind == 3:
+            x = 1 + F(rng.choice((-1, 1)), rng.randint(2, 10 ** rng.randint(1, 40)))
+        elif kind == 4:
+            x = F(10 ** rng.randint(0, 298) + rng.randint(0, 1000))
+        else:
+            x = F(1, rng.randint(1, 10 ** rng.randint(1, 200)))
+        yield x, rng.randint(1, 512)
+
+
+def test_kernel_endpoints_are_unchanged():
+    digest = hashlib.sha256()
+    for x, bits in golden_cases():
+        log = log_enclosure(x, bits)
+        root = sqrt_enclosure(x, bits)
+        rounded = Enclosure(-x, x + F(1, 3)).outward_round(bits)
+        for enc in (log, root, rounded):
+            digest.update(f"{enc.lo} {enc.hi};".encode())
+    assert digest.hexdigest() == KERNEL_DIGEST
+
+
+big = st.integers(1, 10 ** 300)
+
+
+@given(
+    x=st.one_of(
+        st.builds(F, big, big),  # 10^-300 .. 10^300
+        # m = 1 (t = 0), and m = 3/2 or 4/3, where M_hi reaches 2^(w+1) and t = 1/3
+        st.builds(lambda c, e: c * F(2) ** e,
+                  st.sampled_from([F(1), F(3, 2), F(4, 3)]), st.integers(-300, 300)),
+        st.builds(lambda a, b: F(a, a + b), big, big),  # x < 1
+    ),
+    bits=st.integers(1, 512),
+)
+@settings(max_examples=300, deadline=None)
+def test_log_enclosure_against_mpmath(x, bits):
+    enc = log_enclosure(x, bits)
+    assert enc.width <= F(1, 1 << bits)
+    # at this precision numerator and denominator convert exactly, and the
+    # oracle's error is far below the slack
+    with mp.workprec(1100 + bits):
+        oracle = mpf_to_fraction(mp.log(mp.mpf(x.numerator)) - mp.log(mp.mpf(x.denominator)))
+    slack = F(1, 1 << (bits + 60))
+    assert enc.lo - slack <= oracle <= enc.hi + slack

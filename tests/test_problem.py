@@ -1,17 +1,20 @@
 """Validation, gamma, measure parameters, clearing denominator."""
 
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import mpf_to_fraction
+from conftest import mpf_to_fraction, subprocess_env
 from qforms import (
     Condition1Violated,
     Condition2Violated,
     PRootAtQPower,
+    QFormsError,
     QNotAdmissible,
     clearing_denominator,
     gamma_enclosure,
@@ -155,6 +158,40 @@ class TestGamma:
             cur = gamma_enclosure(spec, pb).width
             assert cur * 2 <= prev
             prev = cur
+
+
+class TestDominanceIndex:
+    @given(
+        q=st.fractions(-30, 30, max_denominator=9).filter(lambda q: abs(q) > 1),
+        lower=st.lists(st.fractions(-50, 50, max_denominator=50), min_size=1, max_size=3),
+        lead=st.fractions(-50, 50, max_denominator=10 ** 6).filter(bool),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_definition(self, q, lower, lead):
+        try:
+            spec = validate_spec(q.numerator, q.denominator, lower + [lead], [(F(1), 1)])
+        except QFormsError:
+            assume(False)
+        # least k >= 1 with 2 sum_{nu<d} |p_nu| |q|^(nu k) <= |p_d| |q|^(d k)
+        absq, d, k = abs(q), len(lower), 1
+        while 2 * sum(abs(c) * absq ** (nu * k) for nu, c in enumerate(lower)) > (
+            abs(lead) * absq ** (d * k)
+        ):
+            k += 1
+        assert spec.dominance_index == k
+
+    def test_bounded_time_near_one(self):
+        # q = 100/99, P = 100 + z/10^40: k* = 9692; recomputing |q|^(nu k)
+        # from scratch for every k took seconds
+        code = (
+            "from fractions import Fraction as F; from qforms import validate_spec; "
+            "print(validate_spec(100, 99, [100, F(1, 10**40)], [(F(1), 1)]).dominance_index)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=subprocess_env(), timeout=2,
+        )
+        assert proc.stdout.strip() == "9692", proc.stderr
 
 
 class TestMeasureParams:
