@@ -50,7 +50,6 @@ from .problem import (
 )
 from .series import (
     OmegaVector,
-    ValueTable,
     evaluate_form,
     f_derivative_enclosure,
     functional_equation_residual,
@@ -96,7 +95,6 @@ __all__ = [
     "QNotAdmissible",
     "RetryCapExceeded",
     "UndecidableAtCap",
-    "ValueTable",
     "ZeroOmega",
     "ZeroVector",
     "bounds_report",

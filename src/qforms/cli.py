@@ -77,7 +77,7 @@ def load_spec_file(path: str) -> tuple[ProblemSpec, int, dict]:
         caps["precision_cap"] = env_cap
     for key in ("precision_cap", "retry_cap"):
         caps[key] = _positive_int(caps[key], f"caps.{key}")
-    if precision_bits > caps["precision_cap"]:  # each precision ladder starts at precision_bits
+    if precision_bits > caps["precision_cap"]:  # refused rather than silently run at the cap
         raise SpecFileError(
             f"precision_bits {precision_bits} exceeds the precision cap {caps['precision_cap']}"
         )

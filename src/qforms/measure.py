@@ -12,6 +12,7 @@ observed exponent -log|Lambda| / log H against mu.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .forms import evaluate_exact, w_form
 from .problem import MeasureParams, ProblemSpec, measure_params
-from .series import OmegaVector, evaluate_form, lambda_enclosure, omega_from_vector
+from .series import evaluate_form, lambda_enclosure, omega_from_vector
 from .util import DEFAULT_RETRY_CAP, PrecisionPolicy
 
 HALF = Fraction(1, 2)
@@ -99,15 +100,15 @@ def _refined_lambda_abs(
     spec: ProblemSpec, A: Sequence[int], policy: PrecisionPolicy
 ) -> Enclosure:
     """|Lambda(A)| enclosure refined until it excludes zero (A != 0)."""
-    last = None
-    for bits in policy.ladder():
-        last = lambda_enclosure(spec, A, bits).abs()
-        if last.excludes_zero():
-            return last
-    raise PrecisionCapExceeded(
-        f"|Lambda(A)| for A = {tuple(A)} still straddles zero at "
-        f"{policy.cap_bits} bits"
+    lam, bits = policy.refine(
+        lambda b: lambda_enclosure(spec, A, b).abs(), Enclosure.excludes_zero
     )
+    if bits is None:
+        raise PrecisionCapExceeded(
+            f"|Lambda(A)| for A = {tuple(A)} still straddles zero at "
+            f"{policy.cap_bits} bits"
+        )
+    return lam
 
 
 def certify_lower_bound(
@@ -141,13 +142,12 @@ def certify_lower_bound(
     else:
         l_start, _ = choose_parameters(spec, params, H)
 
-    rest = A[1:]
-    omega_cache: dict[int, OmegaVector] = {}
+    def small_or_large(w: Enclosure) -> bool:
+        mag = w.abs()
+        return mag.hi <= HALF or mag.lo > HALF
 
-    def omega_at(bits: int) -> OmegaVector:
-        if bits not in omega_cache:
-            omega_cache[bits] = omega_from_vector(spec, rest, bits)
-        return omega_cache[bits]
+    # later (l, n) restart at the same rungs; about one omega in eight is a repeat
+    omega_at = functools.cache(lambda b: omega_from_vector(spec, A[1:], b))
 
     attempts = []
     for l in range(l_start, l_start + retry_cap + 1):
@@ -157,23 +157,19 @@ def certify_lower_bound(
             wA = evaluate_exact(wf, A)
             if wA == 0:
                 continue
-            for bits in policy.ladder():
-                w_omega = evaluate_form(wf, omega_at(bits))
-                mag = w_omega.abs()
-                if mag.hi <= HALF:
-                    x0c = wf.x0
-                    if x0c == 0:
-                        raise AssertionError("x0 coefficient vanished despite certification")
-                    bound = (abs(wA) - HALF) / abs(x0c)
-                    cross = _refined_lambda_abs(spec, A, policy)
-                    return Certificate(A, l, n, wA, w_omega, x0c, bound, cross)
-                if mag.lo > HALF:
-                    attempts.append(
-                        {"l": l, "n": n, "w_omega": f"[{mag.lo}, {mag.hi}]"}
-                    )
-                    break
-            else:
+            w_omega, bits = policy.refine(lambda b: evaluate_form(wf, omega_at(b)), small_or_large)
+            mag = w_omega.abs()
+            if bits is None:
                 attempts.append({"l": l, "n": n, "w_omega": "cap"})
+            elif mag.hi <= HALF:
+                x0c = wf.x0
+                if x0c == 0:
+                    raise AssertionError("x0 coefficient vanished despite certification")
+                bound = (abs(wA) - HALF) / abs(x0c)
+                cross = _refined_lambda_abs(spec, A, policy)
+                return Certificate(A, l, n, wA, w_omega, x0c, bound, cross)
+            else:
+                attempts.append({"l": l, "n": n, "w_omega": f"[{mag.lo}, {mag.hi}]"})
     raise RetryCapExceeded(
         f"no (l, n) with |w(omega)| <= 1/2 for A = {A} within l <= "
         f"{l_start + retry_cap}",
@@ -321,7 +317,7 @@ def exponent_scan(
             shell = _random_shell(rng, dim, H, sample_count)
         best: Optional[tuple[Fraction, tuple[int, ...], Enclosure]] = None
         for rest in shell:
-            t = lambda_enclosure(spec, (0,) + rest, precision_bits)
+            t = lambda_enclosure(spec, (0,) + rest, min(precision_bits, precision_cap))
             for a0 in _a0_candidates(t):
                 lam = (t + a0).abs()
                 key = (lam.hi, (a0,) + rest)

@@ -151,7 +151,7 @@ class ProblemSpec:
 
     @cached_property
     def value_tables(self) -> dict:
-        """series.value_table: precision_bits -> ValueTable."""
+        """series.value_table: precision_bits -> {(j, k, sigma): Enclosure}."""
         return {}
 
     @property
@@ -183,31 +183,18 @@ def _as_fraction(x) -> Fraction:
 def q_power_exponent(x: Fraction, q: Fraction) -> Optional[int]:
     """Exact t with x = q^t, or None. Requires |q| > 1, x != 0.
 
-    |t| is bounded by repeated multiplication (no logarithms): |q|^t is
-    strictly monotone, so the loop walks |q|^t toward |x| and stops as
-    soon as it passes it.
+    In lowest terms q^t = q1^t / q2^t with |q1| >= 2, so |t| is the number
+    of times |q1| divides the numerator of max(|x|, 1/|x|); one exact power
+    then settles the sign and the denominator.
     """
     if x == 0:
         return None
-    if x == 1:
-        return 0
-    absq = abs(q)
-    absx = abs(x)
-    if absx == 1:
-        # |x| = 1 but x != 1: x = -1 is a q-power only if q^t = -1, which
-        # needs |q| = 1; impossible here.
-        return None
-    invert = absx < 1
-    if invert:
-        absx = 1 / absx
-    t = 0
-    power = Fraction(1)
-    while power < absx:
-        power *= absq
+    q1, absx = abs(q.numerator), abs(x)
+    num, t = max(absx, 1 / absx).numerator, 0
+    while num % q1 == 0:
+        num //= q1
         t += 1
-    if power != absx:
-        return None
-    if invert:
+    if absx < 1:
         t = -t
     return t if q ** t == x else None
 
@@ -296,15 +283,11 @@ def gamma_enclosure(spec: ProblemSpec, precision_bits: int) -> Enclosure:
     if abs(spec.q_den) == 1:
         return Enclosure.zero()
     pb = precision_bits
-    bits = pb + 8
-    target_core = Fraction(1, 1 << (pb + 4))
-    while True:
-        num = log_enclosure(abs(spec.q_den), bits)
-        den = log_enclosure(abs(spec.q_num), bits)
-        core = num / den
-        if core.width <= target_core:
-            break
-        bits *= 2
+    # each log is 2^-(pb+8) wide and log|q1| >= log 2, so the quotient is at
+    # most 2.9 * 2^-(pb+8) wide
+    core = log_enclosure(abs(spec.q_den), pb + 8) / log_enclosure(abs(spec.q_num), pb + 8)
+    if core.width > Fraction(1, 1 << (pb + 4)):
+        raise AssertionError(f"log|q2| / log|q1| wider than 2^-{pb + 4} at {pb + 8} bits")
     mid = ceil_to_grid(core.midpoint, pb + 4)
     half = Fraction(1, 1 << (pb + 1))
     return Enclosure(mid - half, mid + half)

@@ -71,23 +71,15 @@ def f_derivative_enclosure(
     return Enclosure(total - tail, total + tail).outward_round(precision_bits + 2)
 
 
-@dataclass(frozen=True)
-class ValueTable:
-    """All dS enclosures f^(sigma)(alpha_j q^k) at a common precision."""
-
-    entries: dict[tuple[int, int, int], Enclosure]
-    precision_bits: int
-
-
-def value_table(spec: ProblemSpec, precision_bits: int) -> ValueTable:
-    """Memoized ValueTable per (spec, precision), kept in spec.value_tables."""
+def value_table(spec: ProblemSpec, precision_bits: int) -> dict[tuple[int, int, int], Enclosure]:
+    """All dS enclosures f^(sigma)(alpha_j q^k) at one precision, keyed by
+    (j, k, sigma); memoized per (spec, precision) in spec.value_tables."""
     table = spec.value_tables.get(precision_bits)
     if table is None:
-        entries = {
+        table = spec.value_tables.setdefault(precision_bits, {
             (j, k, sigma): f_derivative_enclosure(spec, j, k, sigma, precision_bits)
             for (j, k, sigma) in spec.var_indices
-        }
-        table = spec.value_tables.setdefault(precision_bits, ValueTable(entries, precision_bits))
+        })
     return table
 
 
@@ -100,7 +92,7 @@ def lambda_enclosure(spec: ProblemSpec, A: Sequence, precision_bits: int) -> Enc
     for idx, jks in enumerate(spec.var_indices, start=1):
         c = Fraction(A[idx])
         if c != 0:
-            acc = acc + table.entries[jks] * c
+            acc = acc + table[jks] * c
     return acc
 
 
@@ -111,7 +103,6 @@ class OmegaVector:
 
     omega0: Enclosure
     rest: tuple[Fraction, ...]
-    precision_bits: int
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.rest)
@@ -123,7 +114,7 @@ def omega_from_vector(spec: ProblemSpec, rest: Sequence, precision_bits: int) ->
     if len(rest_f) != spec.n_vars - 1:
         raise ValueError(f"rest must have length {spec.n_vars - 1}")
     weighted = lambda_enclosure(spec, (0,) + rest_f, precision_bits)
-    return OmegaVector(-weighted, rest_f, precision_bits)
+    return OmegaVector(-weighted, rest_f)
 
 
 def evaluate_form(form: LinearForm, omega: OmegaVector) -> Enclosure:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Optional, TypeVar
 
 DEFAULT_START_BITS = 256
 DEFAULT_PRECISION_CAP = 1 << 14
 DEFAULT_RETRY_CAP = 8
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -24,12 +26,24 @@ class PrecisionPolicy:
             raise ValueError(f"precision bits must be >= 1: {self.start_bits}, {self.cap_bits}")
 
     def ladder(self) -> Iterable[int]:
-        bits = self.start_bits
+        """Rungs from min(start, cap), doubling, ending at the cap."""
+        bits = min(self.start_bits, self.cap_bits)
         while True:
             yield bits
-            if bits >= self.cap_bits:
+            if bits == self.cap_bits:
                 return
             bits = min(2 * bits, self.cap_bits)
+
+    def refine(
+        self, enclose: Callable[[int], T], decided: Callable[[T], bool]
+    ) -> tuple[T, Optional[int]]:
+        """(enclose(bits), bits) at the first rung whose value is decided,
+        else (the value at the cap, None)."""
+        for bits in self.ladder():
+            value = enclose(bits)
+            if decided(value):
+                return value, bits
+        return value, None
 
 
 def random_rational(rng: random.Random, max_abs: int = 100, nonzero: bool = False) -> Fraction:

@@ -9,6 +9,7 @@ fitted per-(n+1) constants instead of asserting asymptotics directly.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -290,10 +291,6 @@ class BoundsReport:
         return rows
 
 
-def _abs_upper(e: Enclosure) -> Fraction:
-    return max(abs(e.lo), abs(e.hi))
-
-
 def bounds_report(
     spec: ProblemSpec,
     l_list: Sequence[int],
@@ -321,7 +318,7 @@ def bounds_report(
         main = Fraction(spec.d * n * n, 2) + Fraction(spec.S * l * l, 2)
         residual = (log_h - main) * Fraction(1, n + 1)
         height_rows.append(HeightRow(l, n, log_h, main, residual))
-        fitted_kappa = max(fitted_kappa, _abs_upper(residual))
+        fitted_kappa = max(fitted_kappa, residual.abs().hi)
 
     # smallness: unit omega vectors plus one seeded random rational vector
     rng = random.Random(rng_seed)
@@ -333,7 +330,6 @@ def bounds_report(
     variants.append(("random", random_rational_vector(rng, dim, nonzero=True)))
 
     shape_shift = (Fraction(spec.S) - Fraction(spec.eps0, spec.d)) / 2
-    policy = PrecisionPolicy(precision_bits, precision_cap)
     smallness_rows = []
     fitted_c: Optional[Fraction] = None
     undecided = 0
@@ -344,21 +340,21 @@ def bounds_report(
             if max_rest == 1
             else log_enclosure(max_rest, 48) / q_log
         )
-        # one ladder per omega: a precision reached stays for the later pairs
-        ladder = policy.ladder()
-        omega = omega_from_vector(spec, rest, next(ladder))
+        # one climb per omega: a rung reached stays for the later pairs,
+        # and the cap stays after an undecided row
+        omega_at = functools.cache(lambda b: omega_from_vector(spec, rest, b))
+        start = precision_bits
         for l, n in pairs:
-            value = evaluate_form(vl_form(spec, l, n), omega)
-            while not value.abs().excludes_zero():
-                pb = next(ladder, None)
-                if pb is None:
-                    break
-                omega = omega_from_vector(spec, rest, pb)
-                value = evaluate_form(vl_form(spec, l, n), omega)
-            if not value.abs().excludes_zero():
+            form = vl_form(spec, l, n)
+            value, bits = PrecisionPolicy(start, precision_cap).refine(
+                lambda b: evaluate_form(form, omega_at(b)), Enclosure.excludes_zero
+            )
+            if bits is None:
                 smallness_rows.append(SmallnessRow(label, l, n, None, None, True))
                 undecided += 1
+                start = precision_cap
                 continue
+            start = bits
             log_v = log_of_enclosure(value.abs()) / q_log
             c_row = (log_v - log_max + l * n - shape_shift * l * l) * Fraction(1, n + 1)
             smallness_rows.append(SmallnessRow(label, l, n, log_v, c_row.hi))
@@ -411,8 +407,8 @@ def nonvanishing_scan(
     """Least n in [n0, n0 + dS] with v_{l0,n}(omega) certifiably nonzero.
 
     Rational omega vectors (length 1 + dS, x_0 slot first) are evaluated
-    exactly; OmegaVector inputs go through enclosures with precision
-    escalation, reporting Undecided at the cap.
+    exactly. An OmegaVector is rebuilt from its rest coefficients at each
+    rung of policy, reporting Undecided at the cap.
     """
     if n0 < spec.S * l0:
         raise DomainViolation(f"n0 must be >= S*l0 = {spec.S * l0}")
@@ -436,18 +432,17 @@ def nonvanishing_scan(
 
     if omega.is_zero():
         raise ZeroOmega("omega vector is identically zero")
-    current = omega
-    for pb in PrecisionPolicy(omega.precision_bits, policy.cap_bits).ladder():
-        if pb != current.precision_bits:
-            current = omega_from_vector(spec, omega.rest, pb)
+
+    def first_nonzero(bits: int) -> Optional[tuple[int, Enclosure]]:
+        at_bits = omega_from_vector(spec, omega.rest, bits)
         for n in window:
-            value = evaluate_form(vl_form(spec, l0, n), current)
+            value = evaluate_form(vl_form(spec, l0, n), at_bits)
             if value.excludes_zero():
-                return NonvanishingVerdict(
-                    n0,
-                    len(window),
-                    n,
-                    pb,
-                    witness=f"[{value.lo}, {value.hi}]",
-                )
-    return NonvanishingVerdict(n0, len(window), None, pb)
+                return n, value
+        return None
+
+    found, bits = policy.refine(first_nonzero, lambda hit: hit is not None)
+    if found is None:
+        return NonvanishingVerdict(n0, len(window), None, policy.cap_bits)
+    n, value = found
+    return NonvanishingVerdict(n0, len(window), n, bits, witness=f"[{value.lo}, {value.hi}]")

@@ -152,6 +152,11 @@ class TestExponentScan:
         with pytest.raises(PrecisionCapExceeded):
             exponent_scan(fix_a, 200, precision_bits=8, precision_cap=8)
 
+    def test_start_above_cap_runs_at_the_cap(self):
+        fresh_a = validate_spec(2, 1, [0, 1], [(F(1), 1)])  # no value tables yet
+        exponent_scan(fresh_a, 5, precision_bits=512, precision_cap=300)
+        assert list(fresh_a.value_tables) == [300]
+
     def test_best_a0_is_optimal(self, fix_a):
         # brute-force A_0 over a wide window must not beat the scan's choice
         report = exponent_scan(fix_a, 12)

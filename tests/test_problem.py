@@ -22,6 +22,7 @@ from qforms import (
     validate_spec,
 )
 from qforms.errors import InvalidSpec
+from qforms.problem import q_power_exponent
 
 
 class TestValidate:
@@ -133,6 +134,39 @@ class TestValidate:
         assert a == b
 
 
+class TestQPowerExponent:
+    @given(
+        q=st.fractions(-30, 30, max_denominator=9).filter(lambda q: abs(q) > 1),
+        t=st.integers(-40, 40),
+        factor=st.sampled_from([F(1), F(-1), F(2), F(1, 3), F(-5, 7)]),
+        noise=st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6).filter(bool),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_definition(self, q, t, factor, noise):
+        for x in (factor * q ** t, noise):
+            # walk t over the range where |q|^t can meet |x|
+            expected, absq, s = None, abs(q), 0
+            while absq ** s <= max(abs(x), 1 / abs(x)):
+                for sign in (s, -s):
+                    if q ** sign == x:
+                        expected = sign
+                s += 1
+            assert q_power_exponent(x, q) == expected
+
+    def test_bounded_time_on_huge_alpha(self):
+        # q = 100/99 with alphas 1 and 10^240: walking |q|^t up to 10^240 in
+        # Fractions took tens of seconds
+        code = (
+            "from fractions import Fraction as F; from qforms import validate_spec; "
+            "print(validate_spec(100, 99, [1, 1], [(F(1), 1), (F(10**240), 1)]).S)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=subprocess_env(), timeout=10,
+        )
+        assert proc.stdout.strip() == "2", proc.stderr
+
+
 class TestGamma:
     def test_integer_q_exact_zero(self, fix_a):
         enc = gamma_enclosure(fix_a, 32)
@@ -229,6 +263,19 @@ class TestMeasureParams:
             measure_params(close, 4, precision_cap=4)
         # full precision resolves it
         assert measure_params(close, 64).applicable
+
+    def test_start_above_cap_runs_at_the_cap(self):
+        # a 10^6-bit start used to run the first rung above a 1024-bit cap
+        code = (
+            "from fractions import Fraction as F; from qforms import validate_spec, measure_params; "
+            "spec = validate_spec(3, 2, [0, F(1, 3), 1], [(F(5, 7), 2)]); "
+            "print(measure_params(spec, 10**6, 1024).precision_bits)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=subprocess_env(), timeout=10,
+        )
+        assert proc.stdout.strip() == "1024", proc.stderr
 
     @pytest.mark.parametrize("points", [[(F(1), 1)], [(F(1), 2)], [(F(1), 1), (F(3), 2)]])
     def test_m_quadratic_relation(self, points):

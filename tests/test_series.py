@@ -69,9 +69,9 @@ class TestFDerivative:
 class TestValueTable:
     def test_covers_all_slots(self, fix_d):
         table = value_table(fix_d, 64)
-        assert set(table.entries) == set(fix_d.var_indices)
-        assert len(table.entries) == fix_d.d * fix_d.S
-        for enc in table.entries.values():
+        assert set(table) == set(fix_d.var_indices)
+        assert len(table) == fix_d.d * fix_d.S
+        for enc in table.values():
             assert enc.width <= F(1, 1 << 64)
 
     def test_cached_identity(self, fix_a):
@@ -145,7 +145,7 @@ class TestEvaluateForm:
         from qforms.enclosure import Enclosure
 
         form = LinearForm((0, 5), 1)
-        omega = OmegaVector(Enclosure(F(-10), F(10)), (F(2, 3),), 32)
+        omega = OmegaVector(Enclosure(F(-10), F(10)), (F(2, 3),))
         val = evaluate_form(form, omega)
         assert (val.lo, val.hi) == (F(10, 3), F(10, 3))
 

@@ -54,3 +54,27 @@ def test_package_imports_no_private_names_across_modules():
                     if alias.name.startswith("_")
                 ]
     assert offenders == [], f"private names imported from another qforms module: {offenders}"
+
+
+def _calls_by_function(path):
+    """(qualified name of the enclosing def, call node) for every call in path."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from walk(child, f"{scope}.{child.name}")
+            else:
+                if isinstance(child, ast.Call):
+                    yield scope, child
+                yield from walk(child, scope)
+
+    return walk(ast.parse(path.read_text(), filename=str(path)), path.stem)
+
+
+def test_only_refine_and_measure_params_climb_the_ladder():
+    callers = {
+        scope
+        for path in sorted((SRC / "qforms").rglob("*.py"))
+        for scope, call in _calls_by_function(path)
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "ladder"
+    }
+    assert callers == {"util.PrecisionPolicy.refine", "problem.measure_params"}

@@ -14,6 +14,7 @@ from qforms import (
     check_identities,
     nonvanishing_scan,
     omega_from_vector,
+    validate_spec,
 )
 from qforms.enclosure import log_enclosure
 from qforms.forms import u_form, v_form
@@ -96,6 +97,11 @@ class TestBoundsReport:
         # S = 2: v_(l,n) needs n >= 2 l, which no pair of this grid meets
         with pytest.raises(DomainViolation):
             bounds_report(fix_d, [2, 3], [0, 1, 3], precision_bits=512)
+
+    def test_start_above_cap_runs_at_the_cap(self):
+        fresh_a = validate_spec(2, 1, [0, 1], [(F(1), 1)])  # no value tables yet
+        bounds_report(fresh_a, [1, 2], [2, 4, 6], precision_bits=512, precision_cap=300)
+        assert list(fresh_a.value_tables) == [300]
 
     def test_csv_rows(self, fix_a):
         report = bounds_report(fix_a, [1], [2, 4], precision_bits=512)
