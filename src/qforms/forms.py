@@ -10,12 +10,12 @@ evaluation is one integer dot product. Only `coeffs`, `x0` and
 `evaluate_exact` reduce, to the same Fractions a rational form would hold.
 
 v_n is kept over the known denominator D^n q2^(d n (n+1)/2), where the
-recurrence v_n = P(q^n) v_{n-1} + u_n runs on integers; w_(l,n) is v_(l,n)
-rescaled to denominator 1. The operator products are expanded once per
-(l, delta) into a shift polynomial and applied over the cached window.
-P(q^n), v_n and the operator expansions are memoized on the ProblemSpec
-instance itself (its p_values, v_forms and operator_polys), so the memo
-lives as long as the caller keeps the spec.
+recurrence v_n = P(q^n) v_{n-1} + u_n runs on integers, taking the integer
+D q2^(dn) P(q^n) from ProblemSpec.p_terms; w_(l,n) is v_(l,n) rescaled to
+denominator 1. The operator products are expanded once per (l, delta) into
+a shift polynomial and applied over the cached window. v_n and the operator
+expansions are memoized on the ProblemSpec instance itself (its v_forms and
+operator_polys), so the memo lives as long as the caller keeps the spec.
 """
 
 from __future__ import annotations
@@ -126,14 +126,6 @@ def u_form(spec: ProblemSpec, n: int) -> LinearForm:
     return LinearForm.of(coeffs)
 
 
-def p_at(spec: ProblemSpec, n: int) -> Fraction:
-    """Memoized P(q^n) for n >= 1."""
-    value = spec.p_values.get(n)
-    if value is None:
-        value = spec.p_values.setdefault(n, spec.P(spec.q ** n))
-    return value
-
-
 def _over(form: LinearForm, den: int, what: str) -> tuple[int, ...]:
     """Numerators of form over den; raises unless form.den divides den,
     i.e. unless den * form has integer coefficients."""
@@ -152,11 +144,11 @@ def v_form(spec: ProblemSpec, n: int) -> LinearForm:
     if not memo:
         memo.setdefault(0, LinearForm((1,) + _over(u_form(spec, 0), 1, "u_0")[1:]))
     # entry i is published only after i - 1, so len(memo) - 1 is the last key
-    for i in range(len(memo), n + 1):
+    start = len(memo)
+    for i, terms in zip(range(start, n + 1), spec.p_terms(start)):
         prev = memo[i - 1]
-        step = spec.clearing_D * spec.q_den ** (spec.d * i)
-        [p] = _over(LinearForm.of((p_at(spec, i),)), step, f"D q2^(d n) P(q^n) at n = {i}")
-        den = prev.den * step
+        p = sum(terms)
+        den = prev.den * spec.clearing_D * spec.q_den ** (spec.d * i)
         u = _over(u_form(spec, i), den, f"D^n q2^(d n (n+1)/2) u_n at n = {i}")
         memo.setdefault(i, LinearForm(tuple(a * p + b for a, b in zip(prev.nums, u)), den))
     return memo[n]

@@ -96,19 +96,25 @@ class ProblemSpec:
 
         At every such k the leading term strictly dominates, so P(q^k) != 0.
         """
-        # Times D q2^(dk), with D clearing P, the test is 2 sum_{nu<d} T_nu <= T_d
-        # on the integers T_nu = |D p_nu| |q1|^(nu k) q2^((d-nu) k); one
-        # multiplication by |q1|^nu q2^(d-nu) steps each from k to k + 1.
-        clear = math.lcm(*(c.denominator for c in self.P.coefficients))
-        q1, q2 = abs(self.q_num), abs(self.q_den)
-        steps = [q1 ** nu * q2 ** (self.d - nu) for nu in range(self.d + 1)]
-        terms = [abs(c.numerator) * (clear // c.denominator) * f
-                 for c, f in zip(self.P.coefficients, steps)]
-        k = 1
-        while 2 * sum(terms[:-1]) > terms[-1]:
+        # the same test on the terms of D q2^(dk) P(q^k)
+        for k, terms in enumerate(self.p_terms(), start=1):
+            if 2 * sum(abs(t) for t in terms[:-1]) <= abs(terms[-1]):
+                return k
+
+    def p_terms(self, n: int = 1):
+        """For n, n + 1, ...: the d + 1 integers D p_nu q1^(nu n) q2^((d-nu) n),
+        D = clearing_D, whose sum is D q2^(dn) P(q^n); one multiplication
+        per term steps n."""
+        steps = [self.q_num ** nu * self.q_den ** (self.d - nu) for nu in range(self.d + 1)]
+        terms = []
+        for nu, c in enumerate(self.P.coefficients):
+            dc = self.clearing_D * c
+            if dc.denominator != 1:
+                raise AssertionError(f"D p_{nu} is not integral")
+            terms.append(dc.numerator * steps[nu] ** n)
+        while True:
+            yield terms
             terms = [t * f for t, f in zip(terms, steps)]
-            k += 1
-        return k
 
     @cached_property
     def var_indices(self) -> tuple[tuple[int, int, int], ...]:
@@ -133,11 +139,6 @@ class ProblemSpec:
     # lives exactly as long as this spec. An entry is a pure function of
     # (spec, key) published with one dict.setdefault, so concurrent callers
     # can at worst repeat work, never see a wrong or partial entry.
-
-    @cached_property
-    def p_values(self) -> dict:
-        """forms.p_at: n -> P(q^n)."""
-        return {}
 
     @cached_property
     def v_forms(self) -> dict:
@@ -238,17 +239,16 @@ def validate_spec(
         pts.append((alpha, int(s)))
     spec = ProblemSpec(q1, q2, P, tuple(pts))
 
-    # P(q^n) != 0 for all n >= 1. The integer-cleared P is z^k R(z), R(0) = c != 0;
-    # by the rational root theorem a root q1^n/q2^n (lowest terms) of R needs
-    # q1^n | c, which as |q1| >= 2 holds for at most c.bit_length() values of n.
-    clear = math.lcm(*(a.denominator for a in P.coefficients))
-    low = next(a for a in P.coefficients if a != 0)
-    c = low.numerator * (clear // low.denominator)
-    n = 1
-    while c % q1 ** n == 0:
-        if P(q ** n) == 0:
+    # P(q^n) != 0 for all n >= 1. D P is z^k R(z) with R(0) = c != 0; by the
+    # rational root theorem a root q1^n/q2^n (lowest terms) of R needs q1^n | c,
+    # which as |q1| >= 2 holds for at most c.bit_length() values of n.
+    walk = spec.p_terms(0)
+    c = next(t for t in next(walk) if t)
+    for n, terms in enumerate(walk, start=1):
+        if c % q1 ** n:
+            break
+        if not sum(terms):
             raise PRootAtQPower(n)
-        n += 1
 
     # condition 1: alpha_j / alpha_k not in q^Z
     for j in range(len(pts)):

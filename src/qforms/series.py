@@ -14,6 +14,7 @@ enclosures or stays exactly rational.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -23,8 +24,6 @@ from .errors import PrecisionCapExceeded
 from .forms import (
     LinearForm,
     evaluate_exact,
-    falling_factorial,
-    p_at,
     u_form,
     v_form,
 )
@@ -46,13 +45,16 @@ def f_derivative_enclosure(
     kstar = spec.dominance_index
     threshold = Fraction(1, 1 << (precision_bits + 1))
 
+    # 1 / P(q^n) for n = 1, 2, ..., from the integers D q2^(dn) P(q^n)
+    inv_p = (
+        Fraction(spec.clearing_D * spec.q_den ** (spec.d * n), sum(terms))
+        for n, terms in enumerate(spec.p_terms(), start=1)
+    )
+    # term n is sigma! C(n, sigma) z^(n-sigma) / prod_{i<=n} P(q^i)
     total = Fraction(0)
-    prod = Fraction(1)
-    for i in range(1, sigma + 1):
-        prod *= p_at(spec, i)
+    term = Fraction(math.factorial(sigma)) * math.prod(next(inv_p) for _ in range(sigma))
     n = sigma
     while True:
-        term = falling_factorial(n, sigma) * z ** (n - sigma) / prod
         in_regime = (
             n >= 2 * sigma
             and n + 1 >= kstar
@@ -63,7 +65,7 @@ def f_derivative_enclosure(
             break
         total += term
         n += 1
-        prod *= p_at(spec, n)
+        term *= z * Fraction(n, n - sigma) * next(inv_p)
         if n - sigma > _MAX_SERIES_TERMS:
             raise PrecisionCapExceeded(
                 f"series for f^({sigma}) at alpha_{j} q^{k} did not localize"

@@ -22,7 +22,6 @@ from .forms import (
     evaluate_exact,
     expand_shift_factors,
     form_height,
-    p_at,
     u_form,
     v_form,
     vl_form,
@@ -72,10 +71,11 @@ def _form_str(form: LinearForm) -> str:
 
 
 def _check_recurrence(spec: ProblemSpec, n_max: int) -> IdentityCheck:
+    # the rational P(q^n), not v_form's integer walk: the check must not restate it
     domain = f"1 <= n <= {n_max}, coefficient-wise"
     for n in range(1, n_max + 1):
         lhs = v_form(spec, n)
-        rhs = v_form(spec, n - 1).scale(p_at(spec, n)) + u_form(spec, n)
+        rhs = v_form(spec, n - 1).scale(spec.P(spec.q ** n)) + u_form(spec, n)
         if lhs != rhs:
             return IdentityCheck(
                 "recurrence",
@@ -183,6 +183,8 @@ def check_identities(
     The recurrence, main-relation and functional-equation checks read the
     v-sequence from v_form, so they check the memo on the spec itself.
     """
+    if n_max < 1:
+        raise DomainViolation("n_max must be at least 1")
     if l_max is None:
         l_max = spec.d + 3
     if l_max < spec.d:

@@ -407,7 +407,7 @@ def _integer_flag_grid():
         v = str(a)
         yield ["validate", "--threads", v], False
         yield ["params", "--threads", v], False
-        yield ["verify", "--n-max", v, "--series-n", "2"], False
+        yield ["verify", "--n-max", v, "--series-n", "2"], a < 1
         yield ["verify", "--n-max", "2", "--l-max", v, "--series-n", "2"], a < 1
         yield ["verify", "--n-max", "2", "--series-n", v], a < 0
         yield ["certify", "--A=1,1", "--l-override", v], a < 0

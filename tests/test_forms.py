@@ -73,12 +73,10 @@ class TestVForm:
                 assert v_form(spec, n).coeffs[0] == prod
 
     def test_recurrence_identity(self, all_fixtures):
-        from qforms.forms import p_at
-
         for spec in all_fixtures.values():
             for n in range(1, 41):
                 lhs = v_form(spec, n)
-                rhs = v_form(spec, n - 1).scale(p_at(spec, n)) + u_form(spec, n)
+                rhs = v_form(spec, n - 1).scale(spec.P(spec.q ** n)) + u_form(spec, n)
                 assert lhs.coeffs == rhs.coeffs
 
     def test_negative_n_rejected(self, fix_a):

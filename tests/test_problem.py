@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mpf_to_fraction, subprocess_env
@@ -226,6 +226,37 @@ class TestDominanceIndex:
             capture_output=True, text=True, env=subprocess_env(), timeout=2,
         )
         assert proc.stdout.strip() == "9692", proc.stderr
+
+
+class TestPTerms:
+    @given(
+        q=st.fractions(-30, 30, max_denominator=9).filter(lambda q: abs(q) > 1),
+        lower=st.lists(
+            st.one_of(st.just(F(0)), st.fractions(-50, 50, max_denominator=50)),
+            min_size=1, max_size=3,
+        ),
+        lead=st.fractions(-50, 50, max_denominator=10 ** 6).filter(bool),
+        alpha=st.fractions(-20, 20, max_denominator=30).filter(bool),
+    )
+    @example(q=F(-3, 2), lower=[F(0), F(-1, 3), F(0)], lead=F(2), alpha=F(5, 7))
+    @example(q=F(7, 5), lower=[F(1, 3)], lead=F(-1, 6), alpha=F(1))
+    @settings(max_examples=100, deadline=None)
+    def test_sum_is_the_scaled_rational_p(self, q, lower, lead, alpha):
+        # d = 1..3, with zero and nonzero non-leading coefficients
+        coeffs = lower + [lead]
+        try:
+            spec = validate_spec(q.numerator, q.denominator, coeffs, [(alpha, 1)])
+        except QFormsError:
+            assume(False)
+        d, D = len(coeffs) - 1, spec.clearing_D
+        assert next(spec.p_terms(0)) == [D * c for c in coeffs]
+        for n, terms in zip(range(1, 61), spec.p_terms()):
+            scaled_p = D * q.denominator ** (d * n) * sum(
+                c * q ** (nu * n) for nu, c in enumerate(coeffs)
+            )
+            assert sum(terms) == scaled_p
+            if n % 20 == 0:
+                assert next(spec.p_terms(n)) == terms
 
 
 class TestMeasureParams:

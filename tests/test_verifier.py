@@ -36,14 +36,13 @@ class TestCheckIdentities:
 
     def test_mutation_control_fails_recurrence(self):
         from qforms import validate_spec
-        from qforms.forms import p_at
 
         # a fresh FIX-A spec: the planted v-memo must not reach other tests
         spec = validate_spec(2, 1, [0, 1], [(F(1), 1)])
         # deliberate off-by-one: scales by P(q^(n+1)) instead of P(q^n)
         mutated = [v_form(spec, 0)]
         for n in range(1, 40):
-            mutated.append(mutated[-1].scale(p_at(spec, n + 1)) + u_form(spec, n))
+            mutated.append(mutated[-1].scale(spec.P(spec.q ** (n + 1))) + u_form(spec, n))
         spec.v_forms.update(enumerate(mutated))
 
         report = check_identities(spec, n_max=10, series_N=10, omega_count=1)
@@ -56,6 +55,28 @@ class TestCheckIdentities:
         # the operator and residual checks read the planted sequence too
         assert not by_name["main_relation"].passed
         assert not by_name["functional_equation"].passed
+
+    def test_mutation_control_fails_recurrence_on_a_corrupted_integer_p(self):
+        # a fresh FIX-B spec whose integer D q2^(dn) P(q^n) is off by one at
+        # n = 3 before v_form first runs; the check multiplies by the
+        # rational P(q^n), so it must catch v_form's use of the integer
+        spec = validate_spec(2, 1, [1, 1], [(F(1), 1)])
+        p_terms = spec.p_terms
+
+        def corrupted(n=1):
+            for i, terms in enumerate(p_terms(n), start=n):
+                yield [terms[0] + (i == 3)] + terms[1:]
+
+        spec.__dict__["p_terms"] = corrupted
+        report = check_identities(spec, n_max=10, series_N=10, omega_count=1)
+        rec = {c.name: c for c in report.checks}["recurrence"]
+        assert not rec.passed
+        assert rec.counterexample["n"] == 3
+
+    def test_n_max_below_one_rejected(self, fix_a):
+        for n_max in (0, -3):
+            with pytest.raises(DomainViolation):
+                check_identities(fix_a, n_max=n_max, series_N=2)
 
     def test_l_max_below_d_rejected(self, fix_d):
         with pytest.raises(DomainViolation):
