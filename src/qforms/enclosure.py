@@ -113,12 +113,15 @@ class Enclosure:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Enclosure":
-        o = self._coerce(other)
+        if not isinstance(other, Enclosure):  # a scalar: its sign orders the ends
+            if other >= 0:
+                return Enclosure(self.lo * other, self.hi * other)
+            return Enclosure(self.hi * other, self.lo * other)
         products = (
-            self.lo * o.lo,
-            self.lo * o.hi,
-            self.hi * o.lo,
-            self.hi * o.hi,
+            self.lo * other.lo,
+            self.lo * other.hi,
+            self.hi * other.lo,
+            self.hi * other.hi,
         )
         return Enclosure(min(products), max(products))
 
@@ -126,15 +129,15 @@ class Enclosure:
 
     def __truediv__(self, other) -> "Enclosure":
         o = self._coerce(other)
-        if o.lo <= 0 <= o.hi:
+        if o.hi < 0:
+            return -(self / -o)
+        if o.lo <= 0:
             raise ZeroDivisionError("division by an enclosure containing zero")
-        quotients = (
-            self.lo / o.lo,
-            self.lo / o.hi,
-            self.hi / o.lo,
-            self.hi / o.hi,
+        # o > 0: a nonnegative end is largest over o.lo, a negative one over o.hi
+        return Enclosure(
+            self.lo / (o.hi if self.lo >= 0 else o.lo),
+            self.hi / (o.lo if self.hi >= 0 else o.hi),
         )
-        return Enclosure(min(quotients), max(quotients))
 
     def __rtruediv__(self, other) -> "Enclosure":
         return self._coerce(other) / self

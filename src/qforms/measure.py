@@ -29,23 +29,10 @@ from .errors import (
 )
 from .forms import evaluate_exact, w_form
 from .problem import MeasureParams, ProblemSpec, measure_params
-from .series import evaluate_form, lambda_enclosure, omega_from_vector
+from .series import evaluate_form, lambda_enclosure, lambda_grid, omega_from_vector
 from .util import DEFAULT_RETRY_CAP, PrecisionPolicy
 
 HALF = Fraction(1, 2)
-
-
-def _a_constant(spec: ProblemSpec, params: MeasureParams, bits: int = 96) -> Enclosure:
-    """a = (1 - M gamma)/d * sqrt((dS)^2 + (1 - eps0) dS + eps0^2/4)."""
-    ds = spec.d * spec.S
-    radicand = (
-        Fraction(ds * ds)
-        + Fraction((1 - spec.eps0) * ds)
-        + Fraction(spec.eps0 * spec.eps0, 4)
-    )
-    root = sqrt_enclosure(radicand, bits)
-    factor = (1 - params.M * params.gamma) * Fraction(1, spec.d)
-    return factor * root
 
 
 def _n0_for(spec: ProblemSpec, params: MeasureParams, l: int) -> int:
@@ -64,8 +51,9 @@ def choose_parameters(
         raise NotApplicable("gamma < 1/M fails for this spec")
     if H < 2:
         raise ValueError("H must be at least 2")
-    L = log_enclosure(H, 64) / log_enclosure(abs(spec.q_num), 64)
-    a = _a_constant(spec, params)
+    L = log_enclosure(H, 64) / spec.log_q1
+    # a = (1 - M gamma)/d * sqrt((dS)^2 + (1 - eps0) dS + eps0^2/4)
+    a = (1 - params.M * params.gamma) * Fraction(1, spec.d) * spec.a_root
     l = max(1, ceil_sqrt(L.midpoint / a.midpoint))
     return l, _n0_for(spec, params, l)
 
@@ -252,13 +240,6 @@ def _box_vectors(dim: int, H: int):
             yield (first,) + tail
 
 
-def _a0_candidates(t: Enclosure) -> list[int]:
-    """Integers adjacent to -t: the only A_0 values that can minimize |A_0 + t|."""
-    lo, hi = -t.hi, -t.lo
-    cands = {math.floor(lo), math.ceil(lo), math.floor(hi), math.ceil(hi)}
-    return sorted(cands)
-
-
 def exponent_scan(
     spec: ProblemSpec,
     H_max: int,
@@ -306,6 +287,8 @@ def exponent_scan(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     policy = PrecisionPolicy(precision_bits, precision_cap)
+    bits = min(precision_bits, precision_cap)
+    w = bits + 2  # lambda_grid's denominator for an integer A is 2^w
     mu_hi = params.mu.hi
 
     def scan_height(H: int) -> tuple[ScanRow, Fraction]:
@@ -315,17 +298,21 @@ def exponent_scan(
         else:
             rng = random.Random(seed * 1_000_003 + H)
             shell = _random_shell(rng, dim, H, sample_count)
-        best: Optional[tuple[Fraction, tuple[int, ...], Enclosure]] = None
+        best = None
         for rest in shell:
-            t = lambda_enclosure(spec, (0,) + rest, min(precision_bits, precision_cap))
-            for a0 in _a0_candidates(t):
-                lam = (t + a0).abs()
-                key = (lam.hi, (a0,) + rest)
-                if best is None or key < (best[0], best[1]):
-                    best = (lam.hi, (a0,) + rest, lam)
+            lo, hi, _ = lambda_grid(spec, (0,) + rest, bits)
+            # t = sum A_rest f lies in [lo, hi] / 2^w. Only the integers next to
+            # -t can minimize |A_0 + t|; with s = A_0 2^w, |A_0 + t| lies in
+            # [max(lo + s, -hi - s, 0), max(-lo - s, hi + s)] / 2^w
+            for a0 in (-hi >> w, -(hi >> w), -lo >> w, -(lo >> w)):
+                s = a0 << w
+                key = (max(-lo - s, hi + s), (a0,) + rest)
+                if best is None or key < best:
+                    best, best_lo = key, max(lo + s, -hi - s, 0)
         if best is None:
             raise AssertionError(f"empty height shell at H = {H}")
-        _, best_A, lam = best
+        lam_hi, best_A = best
+        lam = Enclosure(Fraction(best_lo, 1 << w), Fraction(lam_hi, 1 << w))
         if not lam.excludes_zero():
             lam = _refined_lambda_abs(spec, best_A, policy)
         log_lam = log_of_enclosure(lam)

@@ -135,6 +135,21 @@ class ProblemSpec:
                 dens.append(self.point_arg(j, k).denominator)
         return math.lcm(*dens)
 
+    @cached_property
+    def log_q1(self) -> Enclosure:
+        """log|q1| to 64 bits, the unit of choose_parameters' L."""
+        return log_enclosure(abs(self.q_num), 64)
+
+    @cached_property
+    def a_root(self) -> Enclosure:
+        """sqrt((dS)^2 + (1 - eps0) dS + eps0^2/4) to 96 bits, the spec's
+        factor of choose_parameters' a constant."""
+        ds = self.d * self.S
+        return sqrt_enclosure(
+            Fraction(ds * ds) + Fraction((1 - self.eps0) * ds) + Fraction(self.eps0 * self.eps0, 4),
+            96,
+        )
+
     # Memos of derived data. Each is filled and read by one module only and
     # lives exactly as long as this spec. An entry is a pure function of
     # (spec, key) published with one dict.setdefault, so concurrent callers

@@ -10,6 +10,14 @@ is provably geometric with ratio <= 1/2:
 so the tail is at most twice the first omitted term. Everything downstream
 (linear combinations, form evaluations, residuals) consumes the resulting
 enclosures or stays exactly rational.
+
+Each value is rounded outward onto the grid 2^-w, w = precision_bits + 2,
+so a combination A_0 + sum A_i f_i is one integer dot product: with A
+scaled by the lcm den of its denominators, a positive coefficient adds
+c floor(lo_i 2^w) to the lower sum and c ceil(hi_i 2^w) to the upper one,
+a negative coefficient swaps the two, and both sums lie over den 2^w. On
+the grid the floor and ceiling are exact, so the endpoints are the same
+rationals as interval sums of the table entries.
 """
 
 from __future__ import annotations
@@ -85,17 +93,33 @@ def value_table(spec: ProblemSpec, precision_bits: int) -> dict[tuple[int, int, 
     return table
 
 
-def lambda_enclosure(spec: ProblemSpec, A: Sequence, precision_bits: int) -> Enclosure:
-    """Enclosure of A_0 + sum A_{j,k,sigma} f^(sigma)(alpha_j q^k)."""
+def lambda_grid(spec: ProblemSpec, A: Sequence, precision_bits: int) -> tuple[int, int, int]:
+    """Integers lo <= hi and den with A_0 + sum A_{j,k,sigma} f^(sigma)(alpha_j q^k)
+    in [lo/den, hi/den]; den is the lcm of A's denominators times 2^(precision_bits + 2)."""
     if len(A) != spec.n_vars:
         raise ValueError(f"A must have length {spec.n_vars}")
     table = value_table(spec, precision_bits)
-    acc = Enclosure.point(Fraction(A[0]))
-    for idx, jks in enumerate(spec.var_indices, start=1):
-        c = Fraction(A[idx])
-        if c != 0:
-            acc = acc + table[jks] * c
-    return acc
+    w = precision_bits + 2
+    A = [a if isinstance(a, int) else Fraction(a) for a in A]
+    den = math.lcm(*(a.denominator for a in A))
+    lo = hi = A[0].numerator * (den // A[0].denominator) << w
+    for a, jks in zip(A[1:], spec.var_indices):
+        c = a.numerator * (den // a.denominator)
+        if c:
+            e = table[jks]
+            e_lo = (e.lo.numerator << w) // e.lo.denominator
+            e_hi = -((-e.hi.numerator << w) // e.hi.denominator)
+            if c > 0:
+                lo, hi = lo + c * e_lo, hi + c * e_hi
+            else:
+                lo, hi = lo + c * e_hi, hi + c * e_lo
+    return lo, hi, den << w
+
+
+def lambda_enclosure(spec: ProblemSpec, A: Sequence, precision_bits: int) -> Enclosure:
+    """Enclosure of A_0 + sum A_{j,k,sigma} f^(sigma)(alpha_j q^k)."""
+    lo, hi, den = lambda_grid(spec, A, precision_bits)
+    return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
 
 @dataclass(frozen=True)

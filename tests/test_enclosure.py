@@ -1,6 +1,7 @@
 """Enclosure arithmetic soundness and the transcendental kernels."""
 
 import hashlib
+import operator
 import random
 from fractions import Fraction as F
 
@@ -51,14 +52,47 @@ def test_outward_round_contains(a, pa, pb):
     assert rounded.width <= e.width + F(2, 1 << 16)
 
 
+def four_ends(x: Enclosure, y: Enclosure, op) -> tuple[F, F]:
+    """The min and max of op over the four endpoint pairs."""
+    ends = [op(a, b) for a in (x.lo, x.hi) for b in (y.lo, y.hi)]
+    return min(ends), max(ends)
+
+
+scalars = st.one_of(rationals, st.integers(-10 ** 6, 10 ** 6), st.just(0))
+positives = st.fractions(min_value=F(1, 999), max_value=F(1000), max_denominator=999)
+
+
+@given(rationals, pads, pads, scalars)
+@settings(max_examples=300)
+def test_scalar_product_picks_ends_by_sign(a, pa, pb, c):
+    e = widen(a, pa, pb)
+    expect = four_ends(e, Enclosure.point(c), operator.mul)
+    for product in (e * c, c * e):
+        assert (product.lo, product.hi) == expect
+
+
+@given(rationals, pads, pads, positives, pads, st.booleans())
+@settings(max_examples=300)
+def test_division_by_a_signed_interval_picks_ends_by_sign(a, pa, pb, lo, width, negative):
+    e = widen(a, pa, pb)
+    o = Enclosure(lo, lo + width)
+    if negative:
+        o = -o
+    quotient = e / o
+    assert (quotient.lo, quotient.hi) == four_ends(e, o, operator.truediv)
+    quotient = a / o
+    assert (quotient.lo, quotient.hi) == four_ends(Enclosure.point(a), o, operator.truediv)
+
+
 def test_inverted_interval_rejected():
     with pytest.raises(ValueError):
         Enclosure(F(1), F(0))
 
 
 def test_division_by_zero_interval_rejected():
-    with pytest.raises(ZeroDivisionError):
-        Enclosure.point(1) / Enclosure(F(-1), F(1))
+    for divisor in (Enclosure(F(-1), F(1)), Enclosure(F(0), F(1)), Enclosure(F(-1), F(0))):
+        with pytest.raises(ZeroDivisionError):
+            Enclosure.point(1) / divisor
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Parameter choice, certificates, exponent scans."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -167,3 +169,17 @@ class TestExponentScan:
                 abs(a0 + a1 * f_val) for a0 in range(-14 * abs(a1), 14 * abs(a1) + 1)
             )
             assert row.lambda_abs.lo <= best_brute <= row.lambda_abs.hi
+
+    def test_scan_rows_are_unchanged(self, fix_a, fix_b, fix_c):
+        # golden sha256 over whole reports beyond the payload digest's H <= 6,
+        # pinning the best-A choice and its tie-break; the last run takes the
+        # straddle-and-refine path once
+        runs = [(fix_a, 150, {}), (fix_b, 150, {}), (fix_c, 15, {}),
+                (fix_a, 40, {"precision_bits": 8, "precision_cap": 64})]
+        digest = hashlib.sha256()
+        for spec, h_max, kwargs in runs:
+            report = exponent_scan(spec, h_max, **kwargs)
+            digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "6ce8cb28568b4e5af5004c53f5f002c393ac375e5554879e67726108a503ec01"
+        )

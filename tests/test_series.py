@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_f_sigma, oracle_p_eval, oracle_u_coeffs
 from qforms import (
@@ -124,6 +126,38 @@ class TestLambda:
             dists.append(max(enc.lo - partial, partial - enc.hi, F(0)))
         assert dists[-1] == 0  # inside at the largest N
         assert dists[0] >= dists[1] >= dists[2]
+
+
+def plain_lambda(spec, A, bits) -> tuple[F, F]:
+    """A_0 + sum A_i table_i in plain Fraction interval arithmetic."""
+    lo = hi = F(A[0])
+    for c, jks in zip(A[1:], spec.var_indices):
+        e = value_table(spec, bits)[jks]
+        ends = (e.lo * c, e.hi * c)
+        lo, hi = lo + min(ends), hi + max(ends)
+    return lo, hi
+
+
+BIG = 10 ** 40
+integer_entries = st.one_of(
+    st.just(0), st.integers(-50, 50), st.integers(-BIG, BIG), st.sampled_from([BIG, -BIG])
+)
+rational_entries = st.one_of(
+    integer_entries,
+    st.fractions(min_value=-BIG, max_value=BIG, max_denominator=10 ** 12),
+    st.fractions(min_value=-3, max_value=3, max_denominator=50),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_lambda_matches_plain_interval_sum(all_fixtures, data):
+    spec = all_fixtures[data.draw(st.sampled_from("ABCD"))]
+    bits = data.draw(st.sampled_from([1, 8, 64, 130, 512]))
+    entries = data.draw(st.sampled_from([integer_entries, rational_entries]))
+    A = data.draw(st.lists(entries, min_size=spec.n_vars, max_size=spec.n_vars))
+    enc = lambda_enclosure(spec, A, bits)
+    assert (enc.lo, enc.hi) == plain_lambda(spec, A, bits)
 
 
 class TestEvaluateForm:

@@ -7,7 +7,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
-from qforms import validate_spec
+from qforms import certify_lower_bound, validate_spec
 from qforms.forms import operator_poly, v_form, w_form
 from qforms.series import lambda_enclosure, value_table
 
@@ -23,6 +23,16 @@ def test_dropped_spec_is_collected_with_its_memos():
     operator_poly(spec, 3, 1)
     lambda_enclosure(spec, (1, -2, 3, 0, 5), 128)
     assert len(spec.v_forms) == 41 and spec.value_tables
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
+
+
+def test_per_spec_constants_are_collected_with_the_spec():
+    spec = validate_spec(2, 1, [0, 1], [(F(1), 1)])
+    certify_lower_bound(spec, (-23, 14))  # choose_parameters reads both
+    assert {"log_q1", "a_root"} <= set(vars(spec))
     ref = weakref.ref(spec)
     del spec
     gc.collect()
