@@ -282,7 +282,7 @@ def exponent_scan(
         h = 2
         while h < H_max:
             heights.append(h)
-            h = max(h + 1, int(h * 3 / 2))
+            h = max(h + 1, h * 3 // 2)
         heights.append(H_max)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -332,11 +332,10 @@ def exponent_scan(
 
 
 def _random_shell(rng: random.Random, dim: int, H: int, count: int):
+    """count vectors with entries in [-H, H], one entry (chosen at random) set to +-H."""
     out = []
     for _ in range(count):
-        while True:
-            vec = tuple(rng.randint(-H, H) for _ in range(dim))
-            if max(abs(v) for v in vec) == H:
-                out.append(vec)
-                break
+        vec = [rng.randint(-H, H) for _ in range(dim)]
+        vec[rng.randrange(dim)] = rng.choice((-H, H))
+        out.append(tuple(vec))
     return out

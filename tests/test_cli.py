@@ -334,6 +334,21 @@ def run_cli_process(spec_path, *argv, env_extra=None):
     )
 
 
+@pytest.mark.parametrize("fx", ["A", "C"])
+def test_random_scan_to_a_400_digit_height_in_bounded_time(fx):
+    # the height ladder steps in integers, and a shell sample costs dim draws
+    H = 10 ** 400
+    proc = run_cli_process(
+        str(FIXTURES / f"fixture{fx}.json"), "scan", "--hmax", str(H), "--random", "2"
+    )
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rows = json.loads(proc.stdout)["payload"]["rows"]
+    assert rows[-1]["H"] == H
+    for row in rows:
+        assert max(abs(int(a)) for a in row["best_A"][1:]) == row["H"]
+
+
 @pytest.mark.parametrize(
     "overrides, env_cap",
     [
