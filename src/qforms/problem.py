@@ -145,10 +145,7 @@ class ProblemSpec:
         """sqrt((dS)^2 + (1 - eps0) dS + eps0^2/4) to 96 bits, the spec's
         factor of choose_parameters' a constant."""
         ds = self.d * self.S
-        return sqrt_enclosure(
-            Fraction(ds * ds) + Fraction((1 - self.eps0) * ds) + Fraction(self.eps0 * self.eps0, 4),
-            96,
-        )
+        return sqrt_enclosure(ds * ds + (1 - self.eps0) * ds + Fraction(self.eps0 ** 2, 4), 96)
 
     # Memos of derived data. Each is filled and read by one module only and
     # lives exactly as long as this spec. An entry is a pure function of

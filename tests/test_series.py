@@ -130,9 +130,10 @@ class TestLambda:
 
 def plain_lambda(spec, A, bits) -> tuple[F, F]:
     """A_0 + sum A_i table_i in plain Fraction interval arithmetic."""
+    table = value_table(spec, bits)
     lo = hi = F(A[0])
     for c, jks in zip(A[1:], spec.var_indices):
-        e = value_table(spec, bits)[jks]
+        e = table[jks]
         ends = (e.lo * c, e.hi * c)
         lo, hi = lo + min(ends), hi + max(ends)
     return lo, hi
