@@ -13,9 +13,10 @@ v_n is kept over the known denominator D^n q2^(d n (n+1)/2), where the
 recurrence v_n = P(q^n) v_{n-1} + u_n runs on integers, taking the integer
 D q2^(dn) P(q^n) from ProblemSpec.p_terms; w_(l,n) is v_(l,n) rescaled to
 denominator 1. The operator products are expanded once per (l, delta) into
-a shift polynomial and applied over the cached window. v_n and the operator
-expansions are memoized on the ProblemSpec instance itself (its v_forms and
-operator_polys), so the memo lives as long as the caller keeps the spec.
+a shift polynomial and applied over the cached window. v_n, w_(l,n) and
+the operator expansions are memoized on the ProblemSpec instance itself (its
+v_forms, w_forms and operator_polys), so the memo lives as long as the
+caller keeps the spec.
 """
 
 from __future__ import annotations
@@ -198,13 +199,18 @@ def vl_form(spec: ProblemSpec, l: int, n: int, delta: int = 0) -> LinearForm:
 
 def w_form(spec: ProblemSpec, l: int, n: int) -> LinearForm:
     """Integerized form D^n q1^(S l (l+1)/2) q2^(d n (n+1)/2) v_{l,n}: the
-    numerators of v_{l,n} over that scale, over denominator 1."""
-    scale = (
-        spec.clearing_D ** n
-        * spec.q_num ** (spec.S * l * (l + 1) // 2)
-        * spec.q_den ** (spec.d * n * (n + 1) // 2)
-    )
-    return LinearForm(_over(vl_form(spec, l, n), scale, f"w_(l={l},n={n})"))
+    numerators of v_{l,n} over that scale, over denominator 1; memoized per
+    (spec, l, n) in spec.w_forms."""
+    form = spec.w_forms.get((l, n))
+    if form is None:
+        scale = (
+            spec.clearing_D ** n
+            * spec.q_num ** (spec.S * l * (l + 1) // 2)
+            * spec.q_den ** (spec.d * n * (n + 1) // 2)
+        )
+        form = LinearForm(_over(vl_form(spec, l, n), scale, f"w_(l={l},n={n})"))
+        form = spec.w_forms.setdefault((l, n), form)
+    return form
 
 
 def form_height(form: LinearForm) -> Fraction:

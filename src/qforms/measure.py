@@ -6,6 +6,12 @@ the constrained omega vector satisfies |w_{l,n}(omega)| <= 1/2; then
 
     |Lambda(A)| = |A_0 - omega_0| >= (|w_{l,n}(A)| - 1/2) / |x_0 coeff|.
 
+The decision runs on integers: w_{l,n} has integer coefficients (c_0, c_i),
+so with E = sum_{i>=1} c_i A_i, w(A) = c_0 A_0 + E and w(omega) = E - c_0 t,
+where t = sum_{i>=1} A_i f_i lies in [lo, hi] / den from one lambda_grid per
+rung, shared by every (l, n) and the cross-check. The ends of w(omega) are
+integers over den, ordered by the sign of c_0, compared with +-den/2.
+
 The exponent scan brute-forces small height classes and compares the
 observed exponent -log|Lambda| / log H against mu.
 """
@@ -13,33 +19,32 @@ observed exponent -log|Lambda| / log H against mu.
 from __future__ import annotations
 
 import functools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .enclosure import Enclosure, ceil_sqrt, log_enclosure, log_of_enclosure, sqrt_enclosure
 from .errors import (
     DimensionTooLargeForExhaustive,
+    DomainViolation,
     NotApplicable,
     PrecisionCapExceeded,
     RetryCapExceeded,
     ZeroVector,
 )
-from .forms import evaluate_exact, w_form
+from .forms import w_form
 from .problem import MeasureParams, ProblemSpec, measure_params
-from .series import evaluate_form, lambda_enclosure, lambda_grid, omega_from_vector
+from .series import lambda_grid
 from .util import DEFAULT_RETRY_CAP, PrecisionPolicy
 
 HALF = Fraction(1, 2)
 
 
 def _n0_for(spec: ProblemSpec, params: MeasureParams, l: int) -> int:
-    """ceil((M - 1) l / d) with outward rounding, bumped up to S*l."""
-    upper = (params.M - 1).hi * l / spec.d
-    n0 = math.ceil(upper)
-    return max(n0, spec.S * l)
+    """ceil((M - 1).hi l / d), bumped up to S*l."""
+    slope = params.n0_slope
+    return max(-(-slope.numerator * l // slope.denominator), spec.S * l)
 
 
 def choose_parameters(
@@ -52,9 +57,7 @@ def choose_parameters(
     if H < 2:
         raise ValueError("H must be at least 2")
     L = log_enclosure(H, 64) / spec.log_q1
-    # a = (1 - M gamma)/d * sqrt((dS)^2 + (1 - eps0) dS + eps0^2/4)
-    a = (1 - params.M * params.gamma) * Fraction(1, spec.d) * spec.a_root
-    l = max(1, ceil_sqrt(L.midpoint / a.midpoint))
+    l = max(1, ceil_sqrt(L.midpoint / params.a_midpoint))
     return l, _n0_for(spec, params, l)
 
 
@@ -85,18 +88,49 @@ class Certificate:
 
 
 def _refined_lambda_abs(
-    spec: ProblemSpec, A: Sequence[int], policy: PrecisionPolicy
+    A: Sequence[int], grid: Callable[[int], tuple[int, int, int]], policy: PrecisionPolicy
 ) -> Enclosure:
-    """|Lambda(A)| enclosure refined until it excludes zero (A != 0)."""
-    lam, bits = policy.refine(
-        lambda b: lambda_enclosure(spec, A, b).abs(), Enclosure.excludes_zero
-    )
+    """|Lambda(A)| enclosure refined until it excludes zero (A != 0); grid(b)
+    is lambda_grid of (0,) + A[1:] at b bits, to which A_0 den is added."""
+
+    def shifted(b: int) -> tuple[int, int, int]:
+        lo, hi, den = grid(b)
+        s = A[0] * den
+        return lo + s, hi + s, den
+
+    lam, bits = policy.refine(shifted, lambda g: g[0] > 0 or g[1] < 0)
     if bits is None:
         raise PrecisionCapExceeded(
             f"|Lambda(A)| for A = {tuple(A)} still straddles zero at "
             f"{policy.cap_bits} bits"
         )
-    return lam
+    return _grid_enclosure(lam).abs()
+
+
+def _w_at_omega(c0: int, E: int, grid: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Integers (lo, hi, den) with w(omega) = E - c0 t in [lo/den, hi/den],
+    for t in grid = (t_lo, t_hi, den) / den; the sign of c0 picks the ends."""
+    t_lo, t_hi, den = grid
+    if c0 < 0:
+        t_lo, t_hi = t_hi, t_lo
+    e = E * den
+    return e - c0 * t_hi, e - c0 * t_lo, den
+
+
+def _vs_half(w: tuple[int, int, int]) -> int:
+    """-1 if |w| <= 1/2 on all of [lo, hi]/den, 1 if |w| > 1/2 on all of it,
+    0 if undecided; w = (lo, hi, den), decided by integer comparisons."""
+    lo, hi, den = w
+    if 2 * hi <= den and -2 * lo <= den:
+        return -1
+    if 2 * lo > den or 2 * hi < -den:
+        return 1
+    return 0
+
+
+def _grid_enclosure(w: tuple[int, int, int]) -> Enclosure:
+    lo, hi, den = w
+    return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
 
 def certify_lower_bound(
@@ -124,39 +158,39 @@ def certify_lower_bound(
     if not params.applicable:
         raise NotApplicable("gamma < 1/M fails for this spec")
 
-    H = max(max(abs(a) for a in A[1:]), 2)
+    a0, rest = A[0], A[1:]
+    H = max(max(abs(a) for a in rest), 2)
     if l_override is not None:
         l_start = l_override
     else:
         l_start, _ = choose_parameters(spec, params, H)
 
-    def small_or_large(w: Enclosure) -> bool:
-        mag = w.abs()
-        return mag.hi <= HALF or mag.lo > HALF
-
-    # later (l, n) restart at the same rungs; about one omega in eight is a repeat
-    omega_at = functools.cache(lambda b: omega_from_vector(spec, A[1:], b))
+    # t = sum_(i>=1) A_i f_i on each rung; later (l, n) and the cross-check
+    # restart at the same rungs
+    grid = functools.cache(lambda b: lambda_grid(spec, (0,) + rest, b))
 
     attempts = []
     for l in range(l_start, l_start + retry_cap + 1):
         n0 = _n0_for(spec, params, l)
         for n in range(n0, n0 + spec.d * spec.S + 1):
-            wf = w_form(spec, l, n)
-            wA = evaluate_exact(wf, A)
+            c0, *cs = w_form(spec, l, n).nums
+            E = sum(c * a for c, a in zip(cs, rest))
+            wA = c0 * a0 + E
             if wA == 0:
                 continue
-            w_omega, bits = policy.refine(lambda b: evaluate_form(wf, omega_at(b)), small_or_large)
-            mag = w_omega.abs()
+            w, bits = policy.refine(lambda b: _w_at_omega(c0, E, grid(b)), _vs_half)
             if bits is None:
                 attempts.append({"l": l, "n": n, "w_omega": "cap"})
-            elif mag.hi <= HALF:
-                x0c = wf.x0
-                if x0c == 0:
+            elif _vs_half(w) < 0:
+                if c0 == 0:
                     raise AssertionError("x0 coefficient vanished despite certification")
-                bound = (abs(wA) - HALF) / abs(x0c)
-                cross = _refined_lambda_abs(spec, A, policy)
-                return Certificate(A, l, n, wA, w_omega, x0c, bound, cross)
+                bound = (abs(wA) - HALF) / abs(c0)
+                cross = _refined_lambda_abs(A, grid, policy)
+                return Certificate(
+                    A, l, n, Fraction(wA), _grid_enclosure(w), Fraction(c0), bound, cross
+                )
             else:
+                mag = _grid_enclosure(w).abs()
                 attempts.append({"l": l, "n": n, "w_omega": f"[{mag.lo}, {mag.hi}]"})
     raise RetryCapExceeded(
         f"no (l, n) with |w(omega)| <= 1/2 for A = {A} within l <= "
@@ -213,6 +247,14 @@ class ExponentScanReport:
             }
             for r in self.rows
         ]
+
+
+# The most shell vectors one exponent_scan may visit: (2 H_max + 1)^dim - 3^dim
+# exhaustively, sample_count per height at random; more raise DomainViolation.
+# The costliest scan at the bound, FIX-A or FIX-B to H_max = 100,001 at 128
+# bits (one row per vector pair), takes 30-32 s on a 2-core x86 host; the cost
+# of a vector grows with the precision.
+MAX_SCAN_VECTORS = 200_000
 
 
 def _shell_vectors(dim: int, H: int):
@@ -274,7 +316,8 @@ def exponent_scan(
             raise DimensionTooLargeForExhaustive(
                 f"1 + dS = {spec.n_vars} > 3; use strategy='random'"
             )
-        heights = list(range(2, H_max + 1))
+        heights = range(2, H_max + 1)
+        vectors = (2 * H_max + 1) ** dim - 3 ** dim
     elif strategy == "random":
         if sample_count < 1:
             raise ValueError("sample_count must be at least 1")
@@ -284,8 +327,14 @@ def exponent_scan(
             heights.append(h)
             h = max(h + 1, h * 3 // 2)
         heights.append(H_max)
+        vectors = sample_count * len(heights)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if vectors > MAX_SCAN_VECTORS:
+        raise DomainViolation(
+            f"the scan would visit {vectors} shell vectors, more than "
+            f"{MAX_SCAN_VECTORS}; lower H_max or the sample count"
+        )
     policy = PrecisionPolicy(precision_bits, precision_cap)
     bits = min(precision_bits, precision_cap)
     w = bits + 2  # lambda_grid's denominator for an integer A is 2^w
@@ -314,7 +363,9 @@ def exponent_scan(
         lam_hi, best_A = best
         lam = Enclosure(Fraction(best_lo, 1 << w), Fraction(lam_hi, 1 << w))
         if not lam.excludes_zero():
-            lam = _refined_lambda_abs(spec, best_A, policy)
+            lam = _refined_lambda_abs(
+                best_A, lambda b: lambda_grid(spec, (0,) + best_A[1:], b), policy
+            )
         log_lam = log_of_enclosure(lam)
         log_H = log_enclosure(H, 48)
         exponent = -log_lam / log_H
@@ -333,9 +384,7 @@ def exponent_scan(
 
 def _random_shell(rng: random.Random, dim: int, H: int, count: int):
     """count vectors with entries in [-H, H], one entry (chosen at random) set to +-H."""
-    out = []
     for _ in range(count):
         vec = [rng.randint(-H, H) for _ in range(dim)]
         vec[rng.randrange(dim)] = rng.choice((-H, H))
-        out.append(tuple(vec))
-    return out
+        yield tuple(vec)

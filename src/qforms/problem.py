@@ -143,7 +143,7 @@ class ProblemSpec:
     @cached_property
     def a_root(self) -> Enclosure:
         """sqrt((dS)^2 + (1 - eps0) dS + eps0^2/4) to 96 bits, the spec's
-        factor of choose_parameters' a constant."""
+        factor of the a constant in MeasureParams.a_midpoint."""
         ds = self.d * self.S
         return sqrt_enclosure(ds * ds + (1 - self.eps0) * ds + Fraction(self.eps0 ** 2, 4), 96)
 
@@ -155,6 +155,12 @@ class ProblemSpec:
     @cached_property
     def v_forms(self) -> dict:
         """forms.v_form: n -> v_n; the keys are always a prefix 0..k-1."""
+        return {}
+
+    @cached_property
+    def w_forms(self) -> dict:
+        """forms.w_form: (l, n) -> w_(l,n); certify asks for one window of
+        dS + 1 values of n per l."""
         return {}
 
     @cached_property
@@ -307,7 +313,13 @@ def gamma_enclosure(spec: ProblemSpec, precision_bits: int) -> Enclosure:
 
 @dataclass(frozen=True)
 class MeasureParams:
-    """The scalar quantities steering the measure machinery."""
+    """The scalar quantities steering the measure machinery.
+
+    a_midpoint and n0_slope are the two constants of choose_parameters,
+    computed once by measure_params (the only constructor) and left out of
+    to_json: the midpoint of a = (1 - M gamma)/d * spec.a_root, and
+    (M - 1).hi / d, the slope of n0 in l.
+    """
 
     S: int
     eps0: int
@@ -316,6 +328,8 @@ class MeasureParams:
     mu: Optional[Enclosure]
     applicable: bool
     precision_bits: int
+    a_midpoint: Fraction
+    n0_slope: Fraction
 
     def to_json(self) -> dict:
         return {
@@ -375,6 +389,7 @@ def measure_params(
             f"gamma vs 1/M not separated at {rung} bits (M*gamma in "
             f"[{prod.lo}, {prod.hi}])"
         )
+    a = (1 - M * gamma) * Fraction(1, spec.d) * spec.a_root
     return MeasureParams(
         S=spec.S,
         eps0=spec.eps0,
@@ -383,4 +398,6 @@ def measure_params(
         mu=mu,
         applicable=mu is not None,
         precision_bits=pb,
+        a_midpoint=a.midpoint,
+        n0_slope=(M - 1).hi / spec.d,
     )

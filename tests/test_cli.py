@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -347,6 +348,34 @@ def test_random_scan_to_a_400_digit_height_in_bounded_time(fx):
     assert rows[-1]["H"] == H
     for row in rows:
         assert max(abs(int(a)) for a in row["best_A"][1:]) == row["H"]
+
+
+def _limit_address_space():
+    """preexec_fn: 1.5 GB of address space for the child only, so a scan that
+    built its work up front would fail at once instead of filling the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--hmax", "3", "--random", "100000000"], ["--hmax", "1000000000"]],
+    ids=["random=10^8", "hmax=10^9"],
+)
+def test_oversized_scans_exit_3_in_bounded_time(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qforms.cli", "scan", *argv, str(FIXTURES / "fixtureA.json")],
+        capture_output=True, text=True, env=subprocess_env(), timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "DomainViolation"
+
+
+def test_oversized_scan_on_fix_d_is_still_not_applicable(capsys):
+    code, report = run_cli(capsys, "scan", "--hmax", "1000000000", str(FIXTURES / "fixtureD.json"))
+    assert code == EXIT_FAIL
+    assert report["payload"]["error"]["type"] == "NotApplicable"
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_f_sigma
 from qforms import (
     DimensionTooLargeForExhaustive,
+    DomainViolation,
     NotApplicable,
     PrecisionPolicy,
     ZeroVector,
@@ -18,6 +22,11 @@ from qforms import (
     measure_params,
     validate_spec,
 )
+from qforms import measure
+from qforms.enclosure import Enclosure, ceil_sqrt, log_enclosure
+from qforms.forms import LinearForm, evaluate_exact, w_form
+from qforms.measure import _vs_half, _w_at_omega
+from qforms.series import evaluate_form, lambda_grid, omega_from_vector
 
 
 class TestChooseParameters:
@@ -183,3 +192,93 @@ class TestExponentScan:
         assert digest.hexdigest() == (
             "6ce8cb28568b4e5af5004c53f5f002c393ac375e5554879e67726108a503ec01"
         )
+
+
+def _old_choose_parameters(spec, params, H):
+    """choose_parameters as it was before the constants moved onto
+    MeasureParams: every Fraction recomputed from params on each call."""
+    L = log_enclosure(H, 64) / spec.log_q1
+    a = (1 - params.M * params.gamma) * F(1, spec.d) * spec.a_root
+    l = max(1, ceil_sqrt(L.midpoint / a.midpoint))
+    n0 = math.ceil((params.M - 1).hi * l / spec.d)
+    return l, max(n0, spec.S * l)
+
+
+def _old_vs_half(w):
+    """certify's old decision on an Enclosure w: -1, 1 or 0 as |w| <= 1/2,
+    |w| > 1/2 or neither holds on all of w."""
+    mag = w.abs()
+    return -1 if mag.hi <= F(1, 2) else 1 if mag.lo > F(1, 2) else 0
+
+
+class TestIntegerPaths:
+    """certify's integer routes against the Enclosure and Fraction routes
+    they replace, written out here."""
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_choose_parameters_matches_the_fraction_formula(self, all_fixtures, bits):
+        heights = [*range(2, 2001), *(10 ** k for k in range(4, 301))]
+        for fx in "ABC":
+            spec = all_fixtures[fx]
+            params = measure_params(spec, bits)
+            for H in heights:
+                assert choose_parameters(spec, params, H) == _old_choose_parameters(
+                    spec, params, H
+                ), (fx, H)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fx=st.sampled_from("ABCD"),
+        l=st.integers(0, 4),
+        dn=st.integers(0, 8),
+        sign=st.sampled_from((1, -1)),
+        bits=st.sampled_from((8, 64, 256, 1024)),
+        data=st.data(),
+    )
+    def test_w_at_omega_matches_evaluate_form(self, all_fixtures, fx, l, dn, sign, bits, data):
+        spec = all_fixtures[fx]
+        entry = st.one_of(st.integers(-50, 50), st.integers(-(10 ** 40), 10 ** 40))
+        A = data.draw(st.lists(entry, min_size=spec.n_vars, max_size=spec.n_vars))
+        # a sign flip gives forms with a negative x_0 coefficient
+        form = LinearForm(tuple(sign * c for c in w_form(spec, l, spec.S * l + dn).nums))
+        c0, *cs = form.nums
+        E = sum(c * a for c, a in zip(cs, A[1:]))
+        assert c0 * A[0] + E == evaluate_exact(form, A)
+
+        w = _w_at_omega(c0, E, lambda_grid(spec, (0,) + tuple(A[1:]), bits))
+        old = evaluate_form(form, omega_from_vector(spec, A[1:], bits))
+        lo, hi, den = w
+        assert Enclosure(F(lo, den), F(hi, den)) == old
+        assert _vs_half(w) == _old_vs_half(old)
+
+    @given(den=st.integers(1, 8), lo=st.integers(-24, 24), width=st.integers(0, 24))
+    def test_half_decision_matches_the_enclosure_test(self, den, lo, width):
+        w = (lo, lo + width, den)
+        assert _vs_half(w) == _old_vs_half(Enclosure(F(lo, den), F(lo + width, den)))
+
+
+class TestScanBound:
+    def test_the_bound_counts_shell_vectors(self, fix_a, fix_c, monkeypatch):
+        # FIX-A to H_max = 10: 21 - 3 = 18 vectors; FIX-C at random, heights
+        # 2 and 3 with 5 samples each: 10
+        for spec, H_max, kwargs, count in (
+            (fix_a, 10, {}, 18),
+            (fix_c, 3, {"strategy": "random", "sample_count": 5}, 10),
+        ):
+            monkeypatch.setattr(measure, "MAX_SCAN_VECTORS", count)
+            exponent_scan(spec, H_max, **kwargs)
+            monkeypatch.setattr(measure, "MAX_SCAN_VECTORS", count - 1)
+            with pytest.raises(DomainViolation):
+                exponent_scan(spec, H_max, **kwargs)
+
+    def test_gates_come_before_the_bound(self):
+        with pytest.raises(NotApplicable):
+            exponent_scan(validate_spec(3, 2, [0, 1], [(F(1), 1)]), 10 ** 9)
+        wide = validate_spec(2, 1, [0, 1], [(F(1), 2), (F(3), 1)])
+        with pytest.raises(DimensionTooLargeForExhaustive):
+            exponent_scan(wide, 10 ** 9)
+
+    def test_criterion_8_scans_are_far_below_the_bound(self):
+        # criterion 8 scans FIX-A/B to H = 10^4, 2 * 10^4 - 2 vectors each;
+        # the benchmark's scans stop below H = 230
+        assert 10 * (2 * 10 ** 4) <= measure.MAX_SCAN_VECTORS

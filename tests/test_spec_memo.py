@@ -7,7 +7,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
-from qforms import certify_lower_bound, validate_spec
+from qforms import certify_lower_bound, measure_params, validate_spec
 from qforms.forms import operator_poly, v_form, w_form
 from qforms.series import lambda_enclosure, value_table
 
@@ -23,6 +23,7 @@ def test_dropped_spec_is_collected_with_its_memos():
     operator_poly(spec, 3, 1)
     lambda_enclosure(spec, (1, -2, 3, 0, 5), 128)
     assert len(spec.v_forms) == 41 and spec.value_tables
+    assert list(spec.w_forms) == [(2, 40)] and spec.w_forms[(2, 40)] is w_form(spec, 2, 40)
     ref = weakref.ref(spec)
     del spec
     gc.collect()
@@ -66,3 +67,12 @@ def test_concurrent_callers_agree_with_a_serial_run():
         sys.setswitchinterval(interval)
     assert results == [serial] * 4
     assert sorted(spec.v_forms) == list(range(41))
+    assert spec.w_forms == {(2, 40): serial[0]}
+
+
+def test_measure_params_report_keeps_its_keys(fix_a):
+    # a_midpoint and n0_slope are stored on MeasureParams but not reported
+    params = measure_params(fix_a, 64)
+    assert set(params.to_json()) == {
+        "S", "eps0", "gamma", "M", "mu", "applicable", "precision_bits"
+    }
