@@ -29,12 +29,7 @@ from typing import Sequence, Union
 
 from .enclosure import Enclosure
 from .errors import PrecisionCapExceeded
-from .forms import (
-    LinearForm,
-    evaluate_exact,
-    u_form,
-    v_form,
-)
+from .forms import LinearForm, evaluate_exact, falling_factorial, v_form
 from .problem import ProblemSpec
 
 _MAX_SERIES_TERMS = 1_000_000
@@ -162,25 +157,50 @@ def functional_equation_residual(
     (1 - p_0 z) F(z) - sum_{nu=1..d} p_nu q^nu z F(q^nu z) - R(z),
     where F generates v_n(omega) and R(z) = omega_0 + sum u_n(omega) z^n.
 
-    Works for arbitrary rational omega (the identity is unconditional);
-    v_n(omega) is obtained by evaluating the cached v-forms, which makes
-    this a genuine cross-check of the form recurrence rather than a
-    restatement of the value recurrence.
+    Holds for any rational omega. v_n(omega) comes from the cached v-forms
+    and P(q^n) from spec.P and q, not from the spec.p_terms integers that
+    v_form uses, so this cross-checks the form recurrence.
 
-    Values stay one-slot forms over unreduced denominators, so each
-    residual is an integer numerator; only a nonzero one costs a gcd.
+    With omega = w / b over the lcm b of its denominators, degree n is one
+    integer over den_n b, where den_n = D^n q2^(d n (n+1)/2) is v_n's own
+    denominator: v_n's numerators dotted with w, minus the same for v_(n-1)
+    times the integer D q2^(dn) P(q^n), minus q2^(d n (n+1)/2) times
+    sum_i w_i ff(n, sigma_i) D^n z_i^(n - sigma_i), whose powers step by the
+    integers D z_i. A memo entry over another denominator (a planted one) is
+    taken over the lcm, so its residual stays exact. Only a nonzero residual
+    becomes a Fraction.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    vec = (Fraction(omega0),) + tuple(Fraction(c) for c in omega_rest)
-    v_vals = [v_form(spec, n).at(vec) for n in range(N + 1)]
-    u_vals = [u_form(spec, n).at(vec) for n in range(N + 1)]  # u_n has no x_0 term
-    p = spec.P.coefficients
-    q = spec.q
-    residuals = [v_vals[0] - LinearForm.of(vec[:1]) - u_vals[0]]
-    for n in range(1, N + 1):
-        lhs = v_vals[n] - v_vals[n - 1].scale(p[0])
-        for nu in range(1, spec.d + 1):
-            lhs = lhs - v_vals[n - 1].scale(p[nu] * q ** (nu * n))
-        residuals.append(lhs - u_vals[n])
-    return [r.x0 for r in residuals]
+    omega = LinearForm.of((omega0, *omega_rest))
+    if len(omega.nums) != spec.n_vars:
+        raise ValueError("vector length does not match the variable set")
+    w, b = omega.nums, omega.den
+    D, d, q2 = spec.clearing_D, spec.d, spec.q_den
+    steps = [spec.q_num ** nu * q2 ** (d - nu) for nu in range(d + 1)]
+    terms = [(D * p).numerator for p in spec.P.coefficients]
+    slots = [(sigma, (D * spec.point_arg(j, k)).numerator) for j, k, sigma in spec.var_indices]
+    powers = [D ** sigma for sigma, _ in slots]
+    # v_n(omega) = x / (e den_n b); at degree 0, c x_prev / e_prev = omega_0 b
+    c, x_prev, e_prev = 1, w[0], 1
+    q2_dn = q2_tri = den = 1
+    residuals = []
+    for n in range(N + 1):
+        if n:
+            terms = [t * s for t, s in zip(terms, steps)]
+            c = sum(terms)
+            q2_dn *= q2 ** d
+            q2_tri *= q2_dn
+            den *= D * q2_dn
+            powers = [h * z if n > sigma else h for h, (sigma, z) in zip(powers, slots)]
+        form = v_form(spec, n)
+        k = e = 1
+        if form.den != den:
+            g = math.gcd(den, form.den)
+            k, e = den // g, form.den // g
+        x = k * sum(a * wi for a, wi in zip(form.nums, w))
+        u = sum(wi * falling_factorial(n, s) * h for wi, (s, _), h in zip(w[1:], slots, powers))
+        r = x * e_prev - (c * x_prev + q2_tri * u * e_prev) * e
+        residuals.append(Fraction(r, den * b * e * e_prev) if r else Fraction(0))
+        x_prev, e_prev = x, e
+    return residuals

@@ -1,13 +1,22 @@
 """Series enclosures, lambda combinations, omega evaluation, residuals."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_f_sigma, oracle_p_eval, oracle_u_coeffs
+from conftest import (
+    oracle_f_sigma,
+    oracle_falling,
+    oracle_p_eval,
+    oracle_u_coeffs,
+    subprocess_env,
+)
 from qforms import (
     evaluate_form,
     f_derivative_enclosure,
@@ -18,6 +27,8 @@ from qforms import (
     value_table,
     vl_form,
 )
+from qforms.errors import QFormsError
+from qforms.forms import u_form, v_form
 
 TINY = F(1, 1 << 500)
 
@@ -207,3 +218,95 @@ class TestFunctionalEquation:
                 ]
                 res = functional_equation_residual(spec, rest, omega0, 60)
                 assert all(r == 0 for r in res)
+
+
+def reference_residuals(spec, rest, omega0, N):
+    """The functional-equation residuals in Fractions: v_n(omega) from the
+    memo's form.coeffs, P(q^n) as sum p_nu q^(nu n) and u_n(omega) from the
+    defining sum with Fraction powers."""
+    vec = [F(omega0)] + [F(c) for c in rest]
+    v = [sum(c * x for c, x in zip(v_form(spec, n).coeffs, vec)) for n in range(N + 1)]
+    out = []
+    for n in range(N + 1):
+        u = sum(
+            x * oracle_falling(n, sigma) * (spec.points[j - 1][0] * spec.q ** k) ** (n - sigma)
+            for x, (j, k, sigma) in zip(vec[1:], spec.var_indices)
+        )
+        p = sum(c * spec.q ** (nu * n) for nu, c in enumerate(spec.P.coefficients))
+        out.append(v[n] - (vec[0] if n == 0 else p * v[n - 1]) - u)
+    return out
+
+
+def planted_memo_residuals():
+    """(residuals, reference) to degree 30 on a fresh FIX-D spec whose v-memo
+    is planted with the off-by-one sequence P(q^(n+1)) v_(n-1) + u_n. On
+    FIX-D (q = 3/2, p_1 = 1/3, one point with s = 2) the planted
+    denominators and D^n q2^(d n (n+1)/2) do not divide each other."""
+    spec = validate_spec(3, 2, [0, F(1, 3), 1], [(F(5, 7), 2)])
+    planted = [v_form(spec, 0)]
+    for n in range(1, 31):
+        planted.append(planted[-1].scale(spec.P(spec.q ** (n + 1))) + u_form(spec, n))
+    spec.v_forms.update(enumerate(planted))
+    rest, omega0 = [F(-2, 9), F(5, 11), F(1, 13), F(-4, 3)], F(3, 7)
+    return (
+        functional_equation_residual(spec, rest, omega0, 30),
+        reference_residuals(spec, rest, omega0, 30),
+    )
+
+
+PLANTED_MEMO_UNDER_O = """
+import sys
+sys.path.insert(0, {tests!r})
+from test_series import planted_memo_residuals
+got, want = planted_memo_residuals()
+if got != want or 0 in got[1:]:
+    raise SystemExit("residuals of the planted memo are not the exact nonzero reference")
+print("ok")
+"""
+
+
+class TestResidualIntegerPath:
+    def test_planted_memo_gives_the_exact_nonzero_residuals(self):
+        got, want = planted_memo_residuals()
+        assert got == want
+        assert got[0] == 0 and all(r != 0 for r in got[1:])
+
+    def test_planted_memo_survives_python_O(self):
+        code = PLANTED_MEMO_UNDER_O.format(tests=str(Path(__file__).resolve().parent))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
+    @given(
+        q=st.fractions(-12, 12, max_denominator=7).filter(lambda q: abs(q) > 1 and q.denominator > 1),
+        lower=st.lists(
+            st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=12)),
+            min_size=1, max_size=3,
+        ),
+        lead=st.fractions(-9, 9, max_denominator=12).filter(bool),
+        points=st.lists(
+            st.tuples(st.fractions(-9, 9, max_denominator=9).filter(bool), st.integers(1, 3)),
+            min_size=1, max_size=2,
+        ),
+        N=st.integers(0, 40),
+        # n_vars = 1 + d S <= 19; the first n_vars entries are omega
+        omega=st.lists(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6), min_size=19, max_size=19),
+    )
+    @example(
+        q=F(-5, 3), lower=[F(0), F(1, 4)], lead=F(-7, 2), points=[(F(2, 3), 3), (F(-1, 2), 1)],
+        N=40, omega=[F(k - 9, 2 * k + 1) for k in range(19)],
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_residuals_vanish_and_match_the_reference(self, q, lower, lead, points, N, omega):
+        # p_0 = 0 or not, multiplicities 1..3, q2 > 1
+        try:
+            spec = validate_spec(q.numerator, q.denominator, lower + [lead], points)
+        except QFormsError:
+            assume(False)
+        omega0, *rest = omega[:spec.n_vars]
+        got = functional_equation_residual(spec, rest, omega0, N)
+        assert got == reference_residuals(spec, rest, omega0, N)
+        assert all(r == 0 for r in got)

@@ -69,9 +69,14 @@ class TestCheckIdentities:
 
         spec.__dict__["p_terms"] = corrupted
         report = check_identities(spec, n_max=10, series_N=10, omega_count=1)
-        rec = {c.name: c for c in report.checks}["recurrence"]
+        by_name = {c.name: c for c in report.checks}
+        rec = by_name["recurrence"]
         assert not rec.passed
         assert rec.counterexample["n"] == 3
+        # the residual reads P from spec.P and spec.q, not from p_terms
+        fe = by_name["functional_equation"]
+        assert not fe.passed
+        assert fe.counterexample["degree"] == 3
 
     def test_n_max_below_one_rejected(self, fix_a):
         for n_max in (0, -3):
