@@ -49,7 +49,6 @@ from .problem import (
     validate_spec,
 )
 from .series import (
-    OmegaVector,
     evaluate_form,
     f_derivative_enclosure,
     functional_equation_residual,
@@ -84,7 +83,6 @@ __all__ = [
     "MeasureParams",
     "NonvanishingVerdict",
     "NotApplicable",
-    "OmegaVector",
     "OperatorPoly",
     "PRootAtQPower",
     "PolynomialQ",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import measure, series, verifier
+from . import measure, verifier
 from .errors import (
     DomainViolation,
     InvalidSpec,
@@ -282,10 +282,9 @@ def _dispatch(args, spec: ProblemSpec, precision_bits: int, caps: dict):
         if args.omega is not None:
             omega = _parse_vector(args.omega, Fraction, "--omega", spec.n_vars)
         else:
-            rest = _parse_vector(
+            omega = _parse_vector(
                 args.omega_from_f, Fraction, "--omega-from-f", spec.n_vars - 1
             )
-            omega = series.omega_from_vector(spec, rest, precision_bits)
         verdict_obj = verifier.nonvanishing_scan(spec, omega, args.l0, args.n0, policy)
         verdict = "undecided" if verdict_obj.undecided else "pass"
         return verdict_obj.to_json(), verdict, None

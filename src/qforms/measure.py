@@ -7,10 +7,11 @@ the constrained omega vector satisfies |w_{l,n}(omega)| <= 1/2; then
     |Lambda(A)| = |A_0 - omega_0| >= (|w_{l,n}(A)| - 1/2) / |x_0 coeff|.
 
 The decision runs on integers: w_{l,n} has integer coefficients (c_0, c_i),
-so with E = sum_{i>=1} c_i A_i, w(A) = c_0 A_0 + E and w(omega) = E - c_0 t,
-where t = sum_{i>=1} A_i f_i lies in [lo, hi] / den from one lambda_grid per
-rung, shared by every (l, n) and the cross-check. The ends of w(omega) are
-integers over den, ordered by the sign of c_0, compared with +-den/2.
+so w(A) = c_0 A_0 + sum_{i>=1} c_i A_i is exact, and series.evaluate_form
+gives w(omega) as integer ends over a den, from the omega_0 = -sum_{i>=1}
+A_i f_i that omega_from_vector encloses once per rung, shared by every
+(l, n) and the cross-check |A_0 - omega_0|. The ends are compared with
++-den/2.
 
 The exponent scan brute-forces small height classes and compares the
 observed exponent -log|Lambda| / log H against mu.
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .forms import w_form
 from .problem import MeasureParams, ProblemSpec, measure_params
-from .series import lambda_grid
+from .series import evaluate_form, grid_enclosure, lambda_grid, omega_from_vector
 from .util import DEFAULT_RETRY_CAP, PrecisionPolicy
 
 HALF = Fraction(1, 2)
@@ -88,15 +89,15 @@ class Certificate:
 
 
 def _refined_lambda_abs(
-    A: Sequence[int], grid: Callable[[int], tuple[int, int, int]], policy: PrecisionPolicy
+    A: Sequence[int], omega0: Callable[[int], tuple[int, int, int]], policy: PrecisionPolicy
 ) -> Enclosure:
-    """|Lambda(A)| enclosure refined until it excludes zero (A != 0); grid(b)
-    is lambda_grid of (0,) + A[1:] at b bits, to which A_0 den is added."""
+    """|Lambda(A)| = |A_0 - omega_0| refined until it excludes zero (A != 0);
+    omega0(b) is omega_from_vector of A[1:] at b bits."""
 
     def shifted(b: int) -> tuple[int, int, int]:
-        lo, hi, den = grid(b)
+        lo, hi, den = omega0(b)
         s = A[0] * den
-        return lo + s, hi + s, den
+        return s - hi, s - lo, den
 
     lam, bits = policy.refine(shifted, lambda g: g[0] > 0 or g[1] < 0)
     if bits is None:
@@ -104,17 +105,7 @@ def _refined_lambda_abs(
             f"|Lambda(A)| for A = {tuple(A)} still straddles zero at "
             f"{policy.cap_bits} bits"
         )
-    return _grid_enclosure(lam).abs()
-
-
-def _w_at_omega(c0: int, E: int, grid: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Integers (lo, hi, den) with w(omega) = E - c0 t in [lo/den, hi/den],
-    for t in grid = (t_lo, t_hi, den) / den; the sign of c0 picks the ends."""
-    t_lo, t_hi, den = grid
-    if c0 < 0:
-        t_lo, t_hi = t_hi, t_lo
-    e = E * den
-    return e - c0 * t_hi, e - c0 * t_lo, den
+    return grid_enclosure(lam).abs()
 
 
 def _vs_half(w: tuple[int, int, int]) -> int:
@@ -126,11 +117,6 @@ def _vs_half(w: tuple[int, int, int]) -> int:
     if 2 * lo > den or 2 * hi < -den:
         return 1
     return 0
-
-
-def _grid_enclosure(w: tuple[int, int, int]) -> Enclosure:
-    lo, hi, den = w
-    return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
 
 def certify_lower_bound(
@@ -165,32 +151,32 @@ def certify_lower_bound(
     else:
         l_start, _ = choose_parameters(spec, params, H)
 
-    # t = sum_(i>=1) A_i f_i on each rung; later (l, n) and the cross-check
-    # restart at the same rungs
-    grid = functools.cache(lambda b: lambda_grid(spec, (0,) + rest, b))
+    # omega_0 = -sum_(i>=1) A_i f_i on each rung; later (l, n) and the
+    # cross-check restart at the same rungs
+    omega0 = functools.cache(lambda b: omega_from_vector(spec, rest, b))
 
     attempts = []
     for l in range(l_start, l_start + retry_cap + 1):
         n0 = _n0_for(spec, params, l)
         for n in range(n0, n0 + spec.d * spec.S + 1):
-            c0, *cs = w_form(spec, l, n).nums
-            E = sum(c * a for c, a in zip(cs, rest))
-            wA = c0 * a0 + E
+            form = w_form(spec, l, n)
+            c0, *cs = form.nums
+            wA = c0 * a0 + sum(c * a for c, a in zip(cs, rest))
             if wA == 0:
                 continue
-            w, bits = policy.refine(lambda b: _w_at_omega(c0, E, grid(b)), _vs_half)
+            w, bits = policy.refine(lambda b: evaluate_form(form, rest, omega0(b)), _vs_half)
             if bits is None:
                 attempts.append({"l": l, "n": n, "w_omega": "cap"})
             elif _vs_half(w) < 0:
                 if c0 == 0:
                     raise AssertionError("x0 coefficient vanished despite certification")
                 bound = (abs(wA) - HALF) / abs(c0)
-                cross = _refined_lambda_abs(A, grid, policy)
+                cross = _refined_lambda_abs(A, omega0, policy)
                 return Certificate(
-                    A, l, n, Fraction(wA), _grid_enclosure(w), Fraction(c0), bound, cross
+                    A, l, n, Fraction(wA), grid_enclosure(w), Fraction(c0), bound, cross
                 )
             else:
-                mag = _grid_enclosure(w).abs()
+                mag = grid_enclosure(w).abs()
                 attempts.append({"l": l, "n": n, "w_omega": f"[{mag.lo}, {mag.hi}]"})
     raise RetryCapExceeded(
         f"no (l, n) with |w(omega)| <= 1/2 for A = {A} within l <= "
@@ -364,7 +350,7 @@ def exponent_scan(
         lam = Enclosure(Fraction(best_lo, 1 << w), Fraction(lam_hi, 1 << w))
         if not lam.excludes_zero():
             lam = _refined_lambda_abs(
-                best_A, lambda b: lambda_grid(spec, (0,) + best_A[1:], b), policy
+                best_A, lambda b: omega_from_vector(spec, best_A[1:], b), policy
             )
         log_lam = log_of_enclosure(lam)
         log_H = log_enclosure(H, 48)

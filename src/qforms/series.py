@@ -8,8 +8,8 @@ is provably geometric with ratio <= 1/2:
   * past n >= 2 sigma the binomial ratio (n+1)/(n+1-sigma) is <= 2,
 
 so the tail is at most twice the first omitted term. Everything downstream
-(linear combinations, form evaluations, residuals) consumes the resulting
-enclosures or stays exactly rational.
+(linear combinations, form evaluations, residuals) reads the resulting
+enclosures on their integer grid or stays exactly rational.
 
 Each value is rounded outward onto the grid 2^-w, w = precision_bits + 2,
 so a combination A_0 + sum A_i f_i is one integer dot product: with A
@@ -18,18 +18,24 @@ c floor(lo_i 2^w) to the lower sum and c ceil(hi_i 2^w) to the upper one,
 a negative coefficient swaps the two, and both sums lie over den 2^w. On
 the grid the floor and ceiling are exact, so the endpoints are the same
 rationals as interval sums of the table entries.
+
+A linear form at omega = (omega_0, rest), omega_0 = -sum rest_i f_i, stays
+on the same integers: omega_from_vector is lambda_grid of (0, rest) with
+its ends negated and swapped, and evaluate_form adds c_0 times the end of
+omega_0 that the sign of c_0 picks to the exact part sum c_i rest_i, all
+over den times the form's own denominator. grid_enclosure turns a triple
+into an Enclosure where a report prints it or takes its log.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .enclosure import Enclosure
 from .errors import PrecisionCapExceeded
-from .forms import LinearForm, evaluate_exact, falling_factorial, v_form
+from .forms import LinearForm, falling_factorial, v_form
 from .problem import ProblemSpec
 
 _MAX_SERIES_TERMS = 1_000_000
@@ -111,40 +117,43 @@ def lambda_grid(spec: ProblemSpec, A: Sequence, precision_bits: int) -> tuple[in
     return lo, hi, den << w
 
 
-def lambda_enclosure(spec: ProblemSpec, A: Sequence, precision_bits: int) -> Enclosure:
-    """Enclosure of A_0 + sum A_{j,k,sigma} f^(sigma)(alpha_j q^k)."""
-    lo, hi, den = lambda_grid(spec, A, precision_bits)
+def grid_enclosure(grid: tuple[int, int, int]) -> Enclosure:
+    """The Enclosure [lo/den, hi/den] of an integer triple (lo, hi, den)."""
+    lo, hi, den = grid
     return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
 
-@dataclass(frozen=True)
-class OmegaVector:
-    """Evaluation vector (omega_0, omega_rest) with omega_0 enclosing
-    -sum omega_rest f^(sigma)(alpha_j q^k)."""
-
-    omega0: Enclosure
-    rest: tuple[Fraction, ...]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.rest)
+def lambda_enclosure(spec: ProblemSpec, A: Sequence, precision_bits: int) -> Enclosure:
+    """Enclosure of A_0 + sum A_{j,k,sigma} f^(sigma)(alpha_j q^k)."""
+    return grid_enclosure(lambda_grid(spec, A, precision_bits))
 
 
-def omega_from_vector(spec: ProblemSpec, rest: Sequence, precision_bits: int) -> OmegaVector:
-    """Build the omega vector of a coefficient vector (no x_0 slot)."""
-    rest_f = tuple(Fraction(c) for c in rest)
-    if len(rest_f) != spec.n_vars - 1:
+def omega_from_vector(
+    spec: ProblemSpec, rest: Sequence, precision_bits: int
+) -> tuple[int, int, int]:
+    """Integers lo <= hi and den with omega_0 = -sum rest_i f^(sigma)(alpha_j q^k)
+    in [lo/den, hi/den]; den is a multiple of every denominator in rest."""
+    if len(rest) != spec.n_vars - 1:
         raise ValueError(f"rest must have length {spec.n_vars - 1}")
-    weighted = lambda_enclosure(spec, (0,) + rest_f, precision_bits)
-    return OmegaVector(-weighted, rest_f)
+    lo, hi, den = lambda_grid(spec, (0, *rest), precision_bits)
+    return -hi, -lo, den
 
 
-def evaluate_form(form: LinearForm, omega: OmegaVector) -> Enclosure:
-    """Enclosure of the form at omega; an exact point when the x_0 slot is 0."""
-    exact = evaluate_exact(form, (0,) + omega.rest)
-    x0c = form.x0
-    if x0c == 0:
-        return Enclosure.point(exact)
-    return omega.omega0 * x0c + exact
+def evaluate_form(
+    form: LinearForm, rest: Sequence, omega0: tuple[int, int, int]
+) -> tuple[int, int, int]:
+    """Integers lo <= hi and den with the form at (omega_0, rest) in
+    [lo/den, hi/den], for omega_0 in omega0 = (lo, hi, den) / den from
+    omega_from_vector; den * form.den is the result's denominator, and
+    lo == hi when the x_0 slot is 0."""
+    c0, *cs = form.nums
+    if len(cs) != len(rest):
+        raise ValueError(f"form has {len(cs)} rest slots, rest has length {len(rest)}")
+    lo, hi, den = omega0
+    if c0 < 0:
+        lo, hi = hi, lo
+    e = sum(c * r.numerator * (den // r.denominator) for c, r in zip(cs, rest))
+    return e + c0 * lo, e + c0 * hi, den * form.den
 
 
 def functional_equation_residual(

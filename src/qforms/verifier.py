@@ -13,7 +13,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .enclosure import Enclosure, log_enclosure, log_of_enclosure
 from .errors import DomainViolation, ZeroOmega
@@ -28,7 +28,7 @@ from .forms import (
     w_form,
 )
 from .problem import ProblemSpec
-from .series import OmegaVector, evaluate_form, functional_equation_residual, omega_from_vector
+from .series import evaluate_form, functional_equation_residual, grid_enclosure, omega_from_vector
 from .util import PrecisionPolicy, random_rational, random_rational_vector
 
 
@@ -332,6 +332,7 @@ def bounds_report(
     variants.append(("random", random_rational_vector(rng, dim, nonzero=True)))
 
     shape_shift = (Fraction(spec.S) - Fraction(spec.eps0, spec.d)) / 2
+    vl_forms = [vl_form(spec, l, n) for l, n in pairs]
     smallness_rows = []
     fitted_c: Optional[Fraction] = None
     undecided = 0
@@ -346,10 +347,9 @@ def bounds_report(
         # and the cap stays after an undecided row
         omega_at = functools.cache(lambda b: omega_from_vector(spec, rest, b))
         start = precision_bits
-        for l, n in pairs:
-            form = vl_form(spec, l, n)
+        for (l, n), form in zip(pairs, vl_forms):
             value, bits = PrecisionPolicy(start, precision_cap).refine(
-                lambda b: evaluate_form(form, omega_at(b)), Enclosure.excludes_zero
+                lambda b: evaluate_form(form, rest, omega_at(b)), lambda v: v[0] > 0 or v[1] < 0
             )
             if bits is None:
                 smallness_rows.append(SmallnessRow(label, l, n, None, None, True))
@@ -357,7 +357,7 @@ def bounds_report(
                 start = precision_cap
                 continue
             start = bits
-            log_v = log_of_enclosure(value.abs()) / q_log
+            log_v = log_of_enclosure(grid_enclosure(value).abs()) / q_log
             c_row = (log_v - log_max + l * n - shape_shift * l * l) * Fraction(1, n + 1)
             smallness_rows.append(SmallnessRow(label, l, n, log_v, c_row.hi))
             fitted_c = c_row.hi if fitted_c is None else max(fitted_c, c_row.hi)
@@ -401,27 +401,32 @@ class NonvanishingVerdict:
 
 def nonvanishing_scan(
     spec: ProblemSpec,
-    omega: Union[OmegaVector, Sequence],
+    omega: Sequence,
     l0: int,
     n0: int,
     policy: PrecisionPolicy = PrecisionPolicy(),
 ) -> NonvanishingVerdict:
     """Least n in [n0, n0 + dS] with v_{l0,n}(omega) certifiably nonzero.
 
-    Rational omega vectors (length 1 + dS, x_0 slot first) are evaluated
-    exactly. An OmegaVector is rebuilt from its rest coefficients at each
-    rung of policy, reporting Undecided at the cap.
+    A rational omega of length 1 + dS (x_0 slot first) is evaluated exactly.
+    Given only the dS rest coefficients, omega_0 = -sum rest_i f_i is taken
+    from the series values at each rung of policy, reporting Undecided at
+    the cap. Any other length raises ValueError.
     """
     if n0 < spec.S * l0:
         raise DomainViolation(f"n0 must be >= S*l0 = {spec.S * l0}")
     window = range(n0, n0 + spec.d * spec.S + 1)
+    vec = tuple(Fraction(c) for c in omega)
+    if len(vec) not in (spec.n_vars, spec.n_vars - 1):
+        raise ValueError(
+            f"omega must have length {spec.n_vars}, or {spec.n_vars - 1} rest coefficients"
+        )
+    if all(c == 0 for c in vec):
+        # each form keeps the message its reports have always carried
+        what = "is the zero vector" if len(vec) == spec.n_vars else "vector is identically zero"
+        raise ZeroOmega(f"omega {what}")
 
-    if not isinstance(omega, OmegaVector):
-        vec = tuple(Fraction(c) for c in omega)
-        if len(vec) != spec.n_vars:
-            raise ValueError(f"omega must have length {spec.n_vars}")
-        if all(c == 0 for c in vec):
-            raise ZeroOmega("omega is the zero vector")
+    if len(vec) == spec.n_vars:
         for n in window:
             value = evaluate_exact(vl_form(spec, l0, n), vec)
             if value != 0:
@@ -432,14 +437,11 @@ def nonvanishing_scan(
             "non-vanishing window failed for rational omega: implementation bug"
         )
 
-    if omega.is_zero():
-        raise ZeroOmega("omega vector is identically zero")
-
-    def first_nonzero(bits: int) -> Optional[tuple[int, Enclosure]]:
-        at_bits = omega_from_vector(spec, omega.rest, bits)
+    def first_nonzero(bits: int) -> Optional[tuple[int, tuple[int, int, int]]]:
+        omega0 = omega_from_vector(spec, vec, bits)
         for n in window:
-            value = evaluate_form(vl_form(spec, l0, n), at_bits)
-            if value.excludes_zero():
+            value = evaluate_form(vl_form(spec, l0, n), vec, omega0)
+            if value[0] > 0 or value[1] < 0:
                 return n, value
         return None
 
@@ -447,4 +449,5 @@ def nonvanishing_scan(
     if found is None:
         return NonvanishingVerdict(n0, len(window), None, policy.cap_bits)
     n, value = found
+    value = grid_enclosure(value)
     return NonvanishingVerdict(n0, len(window), n, bits, witness=f"[{value.lo}, {value.hi}]")

@@ -350,6 +350,24 @@ def test_random_scan_to_a_400_digit_height_in_bounded_time(fx):
         assert max(abs(int(a)) for a in row["best_A"][1:]) == row["H"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["nonvanish", "--l0", "3", "--n0", "10", "--omega-from-f", "1"], ["certify", "--A=-23,14"]],
+    ids=["nonvanish", "certify"],
+)
+def test_omega_paths_give_the_same_payload_under_python_O(argv):
+    # evaluate_form decides on integer comparisons, not on assert statements
+    payloads = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "qforms.cli", *argv, str(FIXTURES / "fixtureA.json")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=30,
+        )
+        assert proc.returncode == EXIT_PASS, proc.stderr
+        payloads.append(json.loads(proc.stdout)["payload"])
+    assert payloads[0] == payloads[1]
+
+
 def _limit_address_space():
     """preexec_fn: 1.5 GB of address space for the child only, so a scan that
     built its work up front would fail at once instead of filling the host."""

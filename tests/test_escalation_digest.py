@@ -6,7 +6,7 @@ operations on FIX-A..D at tiny and moderate (start, cap) pairs, where
 enclosures stay undecided, climb rung by rung or stop at the cap:
 
   * bounds_report, whose undecided rows are followed by decided ones;
-  * nonvanishing_scan, with the policy starting at the omega's precision;
+  * nonvanishing_scan on rest coefficients, omega_0 from the series values;
   * certify_lower_bound, including RetryCapExceeded.attempts with "cap";
   * exponent_scan, including PrecisionCapExceeded from the straddle case.
 
@@ -26,7 +26,6 @@ from qforms import (
     certify_lower_bound,
     exponent_scan,
     nonvanishing_scan,
-    omega_from_vector,
 )
 
 DIGEST = "de42ca25e6e178d2af82b826de7aee257c1c72634e484a0db6b0b53815daae5c"
@@ -55,9 +54,8 @@ def records(all_fixtures):
                 spec, [1, 2], [2 * S, 3 * S, 5 * S, 8 * S],
                 precision_bits=start, precision_cap=cap, rng_seed=1))
             for l0, n0 in ((1, S + 1), (3, 4 * S)):
-                omega = omega_from_vector(spec, REST[fx], start)
                 yield fx, start, cap, "nonvanish", _outcome(
-                    lambda: nonvanishing_scan(spec, omega, l0, n0, policy))
+                    lambda: nonvanishing_scan(spec, REST[fx], l0, n0, policy))
             for A in VECTORS[fx]:
                 yield fx, start, cap, "certify", _outcome(
                     lambda: certify_lower_bound(spec, A, policy=policy, retry_cap=1))

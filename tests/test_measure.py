@@ -25,7 +25,7 @@ from qforms import (
 from qforms import measure
 from qforms.enclosure import Enclosure, ceil_sqrt, log_enclosure
 from qforms.forms import LinearForm, evaluate_exact, w_form
-from qforms.measure import _vs_half, _w_at_omega
+from qforms.measure import _vs_half
 from qforms.series import evaluate_form, lambda_grid, omega_from_vector
 
 
@@ -235,7 +235,7 @@ class TestIntegerPaths:
         bits=st.sampled_from((8, 64, 256, 1024)),
         data=st.data(),
     )
-    def test_w_at_omega_matches_evaluate_form(self, all_fixtures, fx, l, dn, sign, bits, data):
+    def test_w_at_omega_is_E_minus_c0_t(self, all_fixtures, fx, l, dn, sign, bits, data):
         spec = all_fixtures[fx]
         entry = st.one_of(st.integers(-50, 50), st.integers(-(10 ** 40), 10 ** 40))
         A = data.draw(st.lists(entry, min_size=spec.n_vars, max_size=spec.n_vars))
@@ -245,8 +245,10 @@ class TestIntegerPaths:
         E = sum(c * a for c, a in zip(cs, A[1:]))
         assert c0 * A[0] + E == evaluate_exact(form, A)
 
-        w = _w_at_omega(c0, E, lambda_grid(spec, (0,) + tuple(A[1:]), bits))
-        old = evaluate_form(form, omega_from_vector(spec, A[1:], bits))
+        # w(omega) = E - c_0 t, t = sum_(i>=1) A_i f_i from lambda_grid
+        w = evaluate_form(form, A[1:], omega_from_vector(spec, A[1:], bits))
+        t_lo, t_hi, t_den = lambda_grid(spec, (0,) + tuple(A[1:]), bits)
+        old = E - Enclosure(F(t_lo, t_den), F(t_hi, t_den)) * c0
         lo, hi, den = w
         assert Enclosure(F(lo, den), F(hi, den)) == old
         assert _vs_half(w) == _old_vs_half(old)

@@ -27,8 +27,10 @@ from qforms import (
     value_table,
     vl_form,
 )
+from qforms.enclosure import Enclosure
 from qforms.errors import QFormsError
-from qforms.forms import u_form, v_form
+from qforms.forms import LinearForm, evaluate_exact, u_form, v_form, w_form
+from qforms.series import grid_enclosure, lambda_grid
 
 TINY = F(1, 1 << 500)
 
@@ -174,26 +176,64 @@ def test_lambda_matches_plain_interval_sum(all_fixtures, data):
 
 class TestEvaluateForm:
     def test_spot_value(self, fix_a):
-        omega = omega_from_vector(fix_a, [1], 128)
-        val = evaluate_form(vl_form(fix_a, 1, 2), omega)
+        omega0 = omega_from_vector(fix_a, [1], 128)
+        val = grid_enclosure(evaluate_form(vl_form(fix_a, 1, 2), [1], omega0))
         oracle = F(23, 2) - 7 * oracle_f_sigma(fix_a, 1, 0, 0)
         assert val.lo - TINY <= oracle <= val.hi + TINY
         assert F("0.008572") <= val.midpoint <= F("0.008573")
 
     def test_zero_omega(self, fix_a):
-        omega = omega_from_vector(fix_a, [0], 32)
-        val = evaluate_form(vl_form(fix_a, 1, 2), omega)
+        omega0 = omega_from_vector(fix_a, [0], 32)
+        val = grid_enclosure(evaluate_form(vl_form(fix_a, 1, 2), [0], omega0))
         assert (val.lo, val.hi) == (0, 0)
 
     def test_x0_free_form_is_exact(self, fix_a):
-        from qforms.forms import LinearForm
-        from qforms.series import OmegaVector
-        from qforms.enclosure import Enclosure
-
         form = LinearForm((0, 5), 1)
-        omega = OmegaVector(Enclosure(F(-10), F(10)), (F(2, 3),))
-        val = evaluate_form(form, omega)
+        # omega_0 in [-10, 10], over the denominator 3 of the rest coefficient
+        val = grid_enclosure(evaluate_form(form, (F(2, 3),), (-30, 30, 3)))
         assert (val.lo, val.hi) == (F(10, 3), F(10, 3))
+
+    def test_length_mismatch(self, fix_a):
+        omega0 = omega_from_vector(fix_a, [1], 32)
+        with pytest.raises(ValueError):
+            evaluate_form(vl_form(fix_a, 1, 2), [1, 2], omega0)
+        with pytest.raises(ValueError):
+            omega_from_vector(fix_a, [1, 2], 32)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fx=st.sampled_from("ABCD"),
+        l=st.integers(0, 3),
+        dn=st.integers(0, 6),
+        kind=st.sampled_from(("vl", "w", "-w")),
+        bits=st.sampled_from((8, 64, 256, 1024)),
+        data=st.data(),
+    )
+    def test_matches_the_enclosure_formula(self, all_fixtures, fx, l, dn, kind, bits, data):
+        spec = all_fixtures[fx]
+        n = spec.S * l + dn
+        if kind == "vl":
+            form = vl_form(spec, l, n)  # over a denominator > 1
+        else:
+            sign = 1 if kind == "w" else -1
+            form = LinearForm(tuple(sign * c for c in w_form(spec, l, n).nums))
+        entry = st.one_of(
+            st.integers(-(10 ** 30), 10 ** 30),
+            st.fractions(-(10 ** 6), 10 ** 6, max_denominator=100),
+        )
+        rest = data.draw(st.lists(entry, min_size=spec.n_vars - 1, max_size=spec.n_vars - 1))
+
+        omega0 = omega_from_vector(spec, rest, bits)
+        lo, hi, den = evaluate_form(form, rest, omega0)
+        # the enclosure route it replaces: omega_0 = -t, t from lambda_grid
+        t_lo, t_hi, t_den = lambda_grid(spec, (0, *rest), bits)
+        old = Enclosure(F(-t_hi, t_den), F(-t_lo, t_den)) * form.x0 + evaluate_exact(
+            form, (0, *rest)
+        )
+        assert Enclosure(F(lo, den), F(hi, den)) == old
+        assert den == omega0[2] * form.den
+        if form.nums[0] == 0:
+            assert lo == hi
 
 
 class TestFunctionalEquation:

@@ -13,7 +13,6 @@ from qforms import (
     bounds_report,
     check_identities,
     nonvanishing_scan,
-    omega_from_vector,
     validate_spec,
 )
 from qforms.enclosure import log_enclosure
@@ -158,8 +157,7 @@ class TestNonvanishing:
         assert verdict.found_index == 5  # v_(0,n)(1,0) = prod P(q^k) != 0
 
     def test_f_built_omega_window(self, fix_a):
-        omega = omega_from_vector(fix_a, [1], 256)
-        verdict = nonvanishing_scan(fix_a, omega, 3, 10)
+        verdict = nonvanishing_scan(fix_a, [1], 3, 10)
         assert verdict.found_index in (10, 11)
         assert not verdict.undecided
 
@@ -167,7 +165,15 @@ class TestNonvanishing:
         with pytest.raises(ZeroOmega):
             nonvanishing_scan(fix_a, [F(0), F(0)], 1, 3)
         with pytest.raises(ZeroOmega):
-            nonvanishing_scan(fix_a, omega_from_vector(fix_a, [0], 32), 1, 3)
+            nonvanishing_scan(fix_a, [0], 1, 3)
+
+    def test_rest_of_wrong_length_or_all_zero(self, all_fixtures):
+        for spec in all_fixtures.values():
+            for length in (0, spec.n_vars - 2, spec.n_vars + 1):
+                with pytest.raises(ValueError):
+                    nonvanishing_scan(spec, [F(1)] * length, 1, spec.S + 1)
+            with pytest.raises(ZeroOmega, match="^omega vector is identically zero$"):
+                nonvanishing_scan(spec, [0] * (spec.n_vars - 1), 1, spec.S + 1)
 
     def test_domain_violation(self, fix_d):
         with pytest.raises(DomainViolation):
@@ -190,10 +196,7 @@ class TestNonvanishing:
                         assert n0 <= verdict.found_index <= n0 + spec.d * spec.S
 
     def test_undecided_at_tiny_cap(self, fix_a):
-        omega = omega_from_vector(fix_a, [1], 8)
-        verdict = nonvanishing_scan(
-            fix_a, omega, 3, 10, PrecisionPolicy(8, 8)
-        )
+        verdict = nonvanishing_scan(fix_a, [1], 3, 10, PrecisionPolicy(8, 8))
         assert verdict.undecided
         assert verdict.found_index is None
         assert verdict.to_json()["undecided"] is True
