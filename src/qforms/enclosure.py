@@ -15,7 +15,9 @@ and the atanh series
 is evaluated in integer fixed point by one function, with every division
 floored for the lower bound and ceiled, plus a geometric tail majorant, for
 the upper bound (Brent & Zimmermann, Modern Computer Arithmetic, chapters 3-4).
-Fractions appear only at the boundary: the argument and the two endpoints.
+The kernel `log_grid` returns integers lo, hi, w with ln x in [lo, hi] / 2^w;
+`log_enclosure` wraps them into the two endpoint Fractions, and callers that
+only compare, like measure.choose_parameters, read the integers directly.
 """
 
 from __future__ import annotations
@@ -197,8 +199,9 @@ def _ln2_scaled(w: int) -> tuple[int, int]:
     return 2 * _atanh_scaled(1, 3, w, False), 2 * _atanh_scaled(1, 3, w, True)
 
 
-def log_enclosure(x: ScalarLike, bits: int) -> Enclosure:
-    """Enclosure of ln(x) for rational x = a/b > 0, width <= 2^-bits.
+def log_grid(x: ScalarLike, bits: int) -> tuple[int, int, int]:
+    """Integers lo <= hi and w with ln(x) in [lo, hi] / 2^w and
+    (hi - lo) / 2^w <= 2^-bits, for rational x = a/b > 0.
 
     With x = m 2^e and m in [1, 2), ln x = e ln 2 + 2 atanh((m-1)/(m+1)).
     m is bracketed on the 2^-w grid by M_lo = floor(a 2^(w-e) / b) and
@@ -208,9 +211,9 @@ def log_enclosure(x: ScalarLike, bits: int) -> Enclosure:
     w - bits is grown until the requested width is actually met.
     """
     if x <= 0:
-        raise ValueError("log_enclosure requires a positive argument")
+        raise ValueError("log_grid requires a positive argument")
     if x == 1:
-        return Enclosure.zero()
+        return 0, 0, 0
     a, b = x.numerator, x.denominator
     e = a.bit_length() - b.bit_length()
     if a << max(-e, 0) < b << max(e, 0):  # make m = x / 2^e lie in [1, 2)
@@ -227,8 +230,15 @@ def log_enclosure(x: ScalarLike, bits: int) -> Enclosure:
         lo = 2 * _atanh_scaled(m_lo - one, m_lo + one, w, False) + e * ln2_lo
         hi = 2 * _atanh_scaled(m_hi - one, m_hi + one, w, True) + e * ln2_hi
         if hi - lo <= 1 << guard:
-            return Enclosure(Fraction(lo, one), Fraction(hi, one))
+            return lo, hi, w
         guard *= 2
+
+
+def log_enclosure(x: ScalarLike, bits: int) -> Enclosure:
+    """Enclosure of ln(x) for rational x > 0, width <= 2^-bits: log_grid's
+    integers over 2^w."""
+    lo, hi, w = log_grid(x, bits)
+    return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
 
 def log_of_enclosure(x: Enclosure, bits: int = 48) -> Enclosure:

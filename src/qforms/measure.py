@@ -19,13 +19,13 @@ observed exponent -log|Lambda| / log H against mu.
 
 from __future__ import annotations
 
-import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .enclosure import Enclosure, ceil_sqrt, log_enclosure, log_of_enclosure, sqrt_enclosure
+from .enclosure import Enclosure, log_enclosure, log_grid, log_of_enclosure, sqrt_enclosure
 from .errors import (
     DimensionTooLargeForExhaustive,
     DomainViolation,
@@ -52,13 +52,18 @@ def choose_parameters(
     spec: ProblemSpec, params: MeasureParams, H: int
 ) -> tuple[int, int]:
     """Starting (l, n0) for height H >= 2, following the measure argument:
-    l ~ sqrt(L / a) with L = log H / log|q1|, n0 = ceil((M-1) l / d)."""
+    l ~ sqrt(L / a) with L = log H / log|q1|, n0 = ceil((M-1) l / d).
+    l = ceil_sqrt(L.midpoint / a_midpoint) >= 1 exactly, on integers: log H
+    is [lo, hi] / 2^w with lo > 0, so L = [lo / qh, hi / ql] / 2^w."""
     if not params.applicable:
         raise NotApplicable("gamma < 1/M fails for this spec")
     if H < 2:
         raise ValueError("H must be at least 2")
-    L = log_enclosure(H, 64) / spec.log_q1
-    l = max(1, ceil_sqrt(L.midpoint / params.a_midpoint))
+    lo, hi, w = log_grid(H, 64)
+    ql, qh, a = spec.log_q1.lo, spec.log_q1.hi, params.a_midpoint
+    num = (lo * qh.denominator * ql.numerator + hi * ql.denominator * qh.numerator) * a.denominator
+    den = ql.numerator * qh.numerator * a.numerator << (w + 1)
+    l = math.isqrt(-(-num // den) - 1) + 1
     return l, _n0_for(spec, params, l)
 
 
@@ -153,9 +158,14 @@ def certify_lower_bound(
 
     # omega_0 = -sum_(i>=1) A_i f_i on each rung; later (l, n) and the
     # cross-check restart at the same rungs
-    omega0 = functools.cache(lambda b: omega_from_vector(spec, rest, b))
+    rungs = {}
 
-    attempts = []
+    def omega0(b: int) -> tuple[int, int, int]:
+        if b not in rungs:
+            rungs[b] = omega_from_vector(spec, rest, b)
+        return rungs[b]
+
+    failed = []  # (l, n, the decided w(omega) grid or None at the cap)
     for l in range(l_start, l_start + retry_cap + 1):
         n0 = _n0_for(spec, params, l)
         for n in range(n0, n0 + spec.d * spec.S + 1):
@@ -165,9 +175,7 @@ def certify_lower_bound(
             if wA == 0:
                 continue
             w, bits = policy.refine(lambda b: evaluate_form(form, rest, omega0(b)), _vs_half)
-            if bits is None:
-                attempts.append({"l": l, "n": n, "w_omega": "cap"})
-            elif _vs_half(w) < 0:
+            if bits is not None and _vs_half(w) < 0:
                 if c0 == 0:
                     raise AssertionError("x0 coefficient vanished despite certification")
                 bound = (abs(wA) - HALF) / abs(c0)
@@ -176,8 +184,12 @@ def certify_lower_bound(
                     A, l, n, Fraction(wA), grid_enclosure(w), Fraction(c0), bound, cross
                 )
             else:
-                mag = grid_enclosure(w).abs()
-                attempts.append({"l": l, "n": n, "w_omega": f"[{mag.lo}, {mag.hi}]"})
+                failed.append((l, n, None if bits is None else w))
+    attempts = [
+        {"l": l, "n": n, "w_omega": "cap" if w is None else "[{0.lo}, {0.hi}]".format(
+            grid_enclosure(w).abs())}
+        for l, n, w in failed
+    ]
     raise RetryCapExceeded(
         f"no (l, n) with |w(omega)| <= 1/2 for A = {A} within l <= "
         f"{l_start + retry_cap}",
@@ -238,8 +250,9 @@ class ExponentScanReport:
 # The most shell vectors one exponent_scan may visit: (2 H_max + 1)^dim - 3^dim
 # exhaustively, sample_count per height at random; more raise DomainViolation.
 # The costliest scan at the bound, FIX-A or FIX-B to H_max = 100,001 at 128
-# bits (one row per vector pair), takes 30-32 s on a 2-core x86 host; the cost
-# of a vector grows with the precision.
+# bits (one row per vector pair), takes 14-15 s in process on a 2-core x86
+# host; the cost of a vector grows with the precision, to about 0.6 ms at the
+# 16,384-bit cap (about 2 minutes at the bound).
 MAX_SCAN_VECTORS = 200_000
 
 

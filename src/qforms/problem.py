@@ -170,7 +170,8 @@ class ProblemSpec:
 
     @cached_property
     def value_tables(self) -> dict:
-        """series.value_table: precision_bits -> {(j, k, sigma): Enclosure}."""
+        """series.value_table: precision_bits -> ({(j, k, sigma): Enclosure},
+        the ends times 2^(precision_bits + 2) as integer pairs in var_indices order)."""
         return {}
 
     @property

@@ -14,10 +14,12 @@ enclosures on their integer grid or stays exactly rational.
 Each value is rounded outward onto the grid 2^-w, w = precision_bits + 2,
 so a combination A_0 + sum A_i f_i is one integer dot product: with A
 scaled by the lcm den of its denominators, a positive coefficient adds
-c floor(lo_i 2^w) to the lower sum and c ceil(hi_i 2^w) to the upper one,
-a negative coefficient swaps the two, and both sums lie over den 2^w. On
-the grid the floor and ceiling are exact, so the endpoints are the same
-rationals as interval sums of the table entries.
+c lo_i 2^w to the lower sum and c hi_i 2^w to the upper one, a negative
+coefficient swaps the two, and both sums lie over den 2^w. The memo entry
+in spec.value_tables keeps, next to the Enclosure table, these grid
+integers (lo_i 2^w, hi_i 2^w) in var_indices order; lambda_grid reads only
+them, so the endpoints are the same rationals as interval sums of the table
+entries and no call divides a big integer.
 
 A linear form at omega = (omega_0, rest), omega_0 = -sum rest_i f_i, stays
 on the same integers: omega_from_vector is lambda_grid of (0, rest) with
@@ -84,14 +86,17 @@ def f_derivative_enclosure(
 
 def value_table(spec: ProblemSpec, precision_bits: int) -> dict[tuple[int, int, int], Enclosure]:
     """All dS enclosures f^(sigma)(alpha_j q^k) at one precision, keyed by
-    (j, k, sigma); memoized per (spec, precision) in spec.value_tables."""
-    table = spec.value_tables.get(precision_bits)
-    if table is None:
-        table = spec.value_tables.setdefault(precision_bits, {
-            (j, k, sigma): f_derivative_enclosure(spec, j, k, sigma, precision_bits)
-            for (j, k, sigma) in spec.var_indices
-        })
-    return table
+    (j, k, sigma); memoized per (spec, precision) in spec.value_tables next to
+    their ends times 2^(precision_bits + 2), which lambda_grid reads."""
+    entry = spec.value_tables.get(precision_bits)
+    if entry is None:
+        w = precision_bits + 2
+        table = {jks: f_derivative_enclosure(spec, *jks, precision_bits)
+                 for jks in spec.var_indices}
+        grid = tuple(((e.lo.numerator << w) // e.lo.denominator,
+                      -((-e.hi.numerator << w) // e.hi.denominator)) for e in table.values())
+        entry = spec.value_tables.setdefault(precision_bits, (table, grid))
+    return entry[0]
 
 
 def lambda_grid(spec: ProblemSpec, A: Sequence, precision_bits: int) -> tuple[int, int, int]:
@@ -99,21 +104,18 @@ def lambda_grid(spec: ProblemSpec, A: Sequence, precision_bits: int) -> tuple[in
     in [lo/den, hi/den]; den is the lcm of A's denominators times 2^(precision_bits + 2)."""
     if len(A) != spec.n_vars:
         raise ValueError(f"A must have length {spec.n_vars}")
-    table = value_table(spec, precision_bits)
+    value_table(spec, precision_bits)  # fills the memo entry whose grid integers are read
+    grid = spec.value_tables[precision_bits][1]
     w = precision_bits + 2
     A = [a if isinstance(a, int) else Fraction(a) for a in A]
     den = math.lcm(*(a.denominator for a in A))
     lo = hi = A[0].numerator * (den // A[0].denominator) << w
-    for a, jks in zip(A[1:], spec.var_indices):
+    for a, (e_lo, e_hi) in zip(A[1:], grid):
         c = a.numerator * (den // a.denominator)
-        if c:
-            e = table[jks]
-            e_lo = (e.lo.numerator << w) // e.lo.denominator
-            e_hi = -((-e.hi.numerator << w) // e.hi.denominator)
-            if c > 0:
-                lo, hi = lo + c * e_lo, hi + c * e_hi
-            else:
-                lo, hi = lo + c * e_hi, hi + c * e_lo
+        if c > 0:
+            lo, hi = lo + c * e_lo, hi + c * e_hi
+        elif c < 0:
+            lo, hi = lo + c * e_hi, hi + c * e_lo
     return lo, hi, den << w
 
 
@@ -152,7 +154,8 @@ def evaluate_form(
     lo, hi, den = omega0
     if c0 < 0:
         lo, hi = hi, lo
-    e = sum(c * r.numerator * (den // r.denominator) for c, r in zip(cs, rest))
+    L = math.lcm(*(r.denominator for r in rest))
+    e = sum(c * r.numerator * (L // r.denominator) for c, r in zip(cs, rest)) * (den // L)
     return e + c0 * lo, e + c0 * hi, den * form.den
 
 

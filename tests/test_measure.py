@@ -1,5 +1,6 @@
 """Parameter choice, certificates, exponent scans."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -26,7 +27,7 @@ from qforms import measure
 from qforms.enclosure import Enclosure, ceil_sqrt, log_enclosure
 from qforms.forms import LinearForm, evaluate_exact, w_form
 from qforms.measure import _vs_half
-from qforms.series import evaluate_form, lambda_grid, omega_from_vector
+from qforms.series import evaluate_form, grid_enclosure, lambda_grid, omega_from_vector
 
 
 class TestChooseParameters:
@@ -106,9 +107,26 @@ class TestCertify:
         from qforms import RetryCapExceeded
 
         # l pinned to 1 cannot push |w(omega)| below 1/2 for a huge-height A
+        A = (0, 10 ** 6)
         with pytest.raises(RetryCapExceeded) as exc:
-            certify_lower_bound(fix_a, [0, 10 ** 6], l_override=1, retry_cap=0)
-        assert exc.value.attempts  # failing |w(omega)| enclosures reported
+            certify_lower_bound(fix_a, A, l_override=1, retry_cap=0)
+        # both forms of the window n = 2, 3 are decided |w(omega)| > 1/2; each
+        # attempt reports |w(omega)| at the rung where the ladder decided it
+        expected = []
+        for n in (2, 3):
+            form = w_form(fix_a, 1, n)
+            w, bits = PrecisionPolicy().refine(
+                lambda b: evaluate_form(form, A[1:], omega_from_vector(fix_a, A[1:], b)),
+                _vs_half,
+            )
+            assert bits is not None and _vs_half(w) > 0
+            mag = grid_enclosure(w).abs()
+            expected.append({"l": 1, "n": n, "w_omega": f"[{mag.lo}, {mag.hi}]"})
+        assert exc.value.attempts == expected
+        # the same strings as before the attempts were formatted lazily
+        assert hashlib.sha256(json.dumps(exc.value.attempts).encode()).hexdigest() == (
+            "416bb05f49f9b8dba7e002d906d10ff7910eb1666789c81f45e3e5ea06c54377"
+        )
 
     def test_soundness_small_grid(self, fix_b):
         policy = PrecisionPolicy(256)
@@ -194,14 +212,44 @@ class TestExponentScan:
         )
 
 
-def _old_choose_parameters(spec, params, H):
+def _old_a(spec, params):
+    return (1 - params.M * params.gamma) * F(1, spec.d) * spec.a_root
+
+
+def _old_choose_parameters(spec, params, H, a=None):
     """choose_parameters as it was before the constants moved onto
-    MeasureParams: every Fraction recomputed from params on each call."""
+    MeasureParams: every Fraction recomputed from params on each call
+    (a search over H may pass in _old_a, a function of params alone)."""
     L = log_enclosure(H, 64) / spec.log_q1
-    a = (1 - params.M * params.gamma) * F(1, spec.d) * spec.a_root
+    if a is None:
+        a = _old_a(spec, params)
     l = max(1, ceil_sqrt(L.midpoint / a.midpoint))
     n0 = math.ceil((params.M - 1).hi * l / spec.d)
     return l, max(n0, spec.S * l)
+
+
+def _l_steps(spec, params, H_max):
+    """Every H in (2, H_max] where _old_choose_parameters' l exceeds its
+    value at H - 1, found by bisection (l is nondecreasing in H)."""
+
+    a = _old_a(spec, params)
+
+    def l_at(H):
+        return _old_choose_parameters(spec, params, H, a)[0]
+
+    steps, lo, l_lo, l_max = [], 2, l_at(2), l_at(H_max)
+    while l_lo < l_max:
+        # gallop by a doubling number of bits, then bisect; throughout,
+        # l_at(lo) == l_lo < l_at(hi)
+        shift = 1
+        while (hi := min(lo << shift, H_max)) < H_max and l_at(hi) == l_lo:
+            lo, shift = hi, 2 * shift
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if l_at(mid) == l_lo else (lo, mid)
+        steps.append(hi)
+        lo, l_lo = hi, l_at(hi)
+    return steps
 
 
 def _old_vs_half(w):
@@ -221,10 +269,36 @@ class TestIntegerPaths:
         for fx in "ABC":
             spec = all_fixtures[fx]
             params = measure_params(spec, bits)
+            # H - 1, H and H + 1 around every H up to 10^300 where l steps
+            for H in _l_steps(spec, params, 10 ** 300):
+                heights += [H - 1, H, H + 1]
             for H in heights:
                 assert choose_parameters(spec, params, H) == _old_choose_parameters(
                     spec, params, H
                 ), (fx, H)
+
+    @pytest.mark.parametrize("H", [2, 37, 10 ** 6, 10 ** 200])
+    def test_choose_parameters_at_an_exact_threshold(self, all_fixtures, H):
+        # a_midpoint set so that x = L.midpoint / a_midpoint is k^2 + delta:
+        # l is k + 1 above k^2, k at it and below. A delta of 2^-200 is far
+        # below what H itself can resolve, so only exact arithmetic gets the
+        # three cases right (e.g. not ql and qh swapped in L's ends)
+        for fx in "ABC":
+            spec = all_fixtures[fx]
+            params = measure_params(spec, 64)
+            L = log_enclosure(H, 64) / spec.log_q1
+            for k in (1, 3, 40):
+                for delta, l in ((F(1, 1 << 200), k + 1), (0, k), (-F(1, 1 << 200), k)):
+                    tuned = dataclasses.replace(params, a_midpoint=L.midpoint / (k * k + delta))
+                    assert choose_parameters(spec, tuned, H)[0] == l, (fx, H, k, delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fx=st.sampled_from("ABC"), bits=st.sampled_from((64, 128)),
+           H=st.integers(2, 10 ** 300))
+    def test_choose_parameters_matches_at_random_heights(self, all_fixtures, fx, bits, H):
+        spec = all_fixtures[fx]
+        params = measure_params(spec, bits)
+        assert choose_parameters(spec, params, H) == _old_choose_parameters(spec, params, H)
 
     @settings(max_examples=150, deadline=None)
     @given(

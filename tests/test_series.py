@@ -92,6 +92,21 @@ class TestValueTable:
     def test_cached_identity(self, fix_a):
         assert value_table(fix_a, 64) is value_table(fix_a, 64)
 
+    @pytest.mark.parametrize("bits", [8, 64, 256, 2048])
+    def test_stored_grid_integers_are_the_table_ends(self, all_fixtures, bits):
+        # lambda_grid reads one stored integer per end; that is sound because
+        # every end lies on the 2^-w grid, checked here, since src/ keeps no
+        # assert for it (python -O would strip one)
+        w = bits + 2
+        for spec in all_fixtures.values():
+            table = value_table(spec, bits)
+            stored, grid = spec.value_tables[bits]
+            assert stored is table and len(grid) == len(spec.var_indices)
+            for jks, pair in zip(spec.var_indices, grid):
+                lo, hi = table[jks].lo * (1 << w), table[jks].hi * (1 << w)
+                assert lo.denominator == 1 and hi.denominator == 1
+                assert pair == (lo, hi)
+
 
 class TestLambda:
     def test_single_value(self, fix_a):
