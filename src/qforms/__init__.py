@@ -43,7 +43,6 @@ from .problem import (
     MeasureParams,
     PolynomialQ,
     ProblemSpec,
-    clearing_denominator,
     gamma_enclosure,
     measure_params,
     validate_spec,
@@ -99,7 +98,6 @@ __all__ = [
     "certify_lower_bound",
     "check_identities",
     "choose_parameters",
-    "clearing_denominator",
     "evaluate_form",
     "exponent_scan",
     "f_derivative_enclosure",

@@ -29,7 +29,6 @@ from .errors import (
 from .forms import form_height, form_to_json, u_form, v_form, vl_form, w_form
 from .problem import (
     ProblemSpec,
-    clearing_denominator,
     gamma_enclosure,
     measure_params,
     validate_spec,
@@ -222,7 +221,7 @@ def _dispatch(args, spec: ProblemSpec, precision_bits: int, caps: dict):
         return {
             "params": params.to_json(),
             "gamma": gamma.to_json(),
-            "D": clearing_denominator(spec),
+            "D": spec.clearing_D,
         }, "pass", None
 
     if args.command == "forms":

@@ -263,8 +263,3 @@ def sqrt_enclosure(x: ScalarLike, bits: int) -> Enclosure:
     lo = Fraction(root, den)
     hi = Fraction(root + 1, den)
     return Enclosure(lo, hi)
-
-
-def ceil_sqrt(x: Fraction) -> int:
-    """Smallest integer k >= 0 with k*k >= x (x >= 0)."""
-    return math.isqrt(math.ceil(x) - 1) + 1 if x > 0 else 0

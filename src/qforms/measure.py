@@ -53,7 +53,7 @@ def choose_parameters(
 ) -> tuple[int, int]:
     """Starting (l, n0) for height H >= 2, following the measure argument:
     l ~ sqrt(L / a) with L = log H / log|q1|, n0 = ceil((M-1) l / d).
-    l = ceil_sqrt(L.midpoint / a_midpoint) >= 1 exactly, on integers: log H
+    l = ceil(sqrt(L.midpoint / a_midpoint)) >= 1 exactly, on integers: log H
     is [lo, hi] / 2^w with lo > 0, so L = [lo / qh, hi / ql] / 2^w."""
     if not params.applicable:
         raise NotApplicable("gamma < 1/M fails for this spec")

@@ -287,11 +287,6 @@ def validate_spec(
     return spec
 
 
-def clearing_denominator(spec: ProblemSpec) -> int:
-    """Least positive D with D*P in Z[z] and D*alpha_j*q^k in Z (0 <= k < d)."""
-    return spec.clearing_D
-
-
 def gamma_enclosure(spec: ProblemSpec, precision_bits: int) -> Enclosure:
     """Enclosure of log|q2| / log|q1| with width exactly 2^-precision_bits.
 

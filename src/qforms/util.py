@@ -46,13 +46,9 @@ class PrecisionPolicy:
         return value, None
 
 
-def random_rational(rng: random.Random, max_abs: int = 100, nonzero: bool = False) -> Fraction:
+def random_rational(rng: random.Random, max_abs: int = 100) -> Fraction:
     """Seeded random rational with |numerator|, denominator <= max_abs."""
-    while True:
-        num = rng.randint(-max_abs, max_abs)
-        if num == 0 and nonzero:
-            continue
-        return Fraction(num, rng.randint(1, max_abs))
+    return Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_abs))
 
 
 def random_rational_vector(

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from qforms.enclosure import (
     Enclosure,
-    ceil_sqrt,
     log_enclosure,
     sqrt_enclosure,
 )
@@ -158,15 +157,6 @@ def test_sqrt_enclosure(x):
 
 def test_sqrt_zero():
     assert sqrt_enclosure(F(0), 10) == Enclosure.point(0)
-
-
-@given(st.fractions(min_value=F(0), max_value=F(10) ** 6, max_denominator=997))
-@settings(max_examples=200)
-def test_ceil_sqrt(x):
-    k = ceil_sqrt(x)
-    assert F(k * k) >= x
-    if k > 0:
-        assert F((k - 1) * (k - 1)) < x
 
 
 # sha256 over the log_enclosure, sqrt_enclosure and outward_round endpoints

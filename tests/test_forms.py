@@ -20,7 +20,6 @@ from qforms.forms import (
     evaluate_exact,
     expand_shift_factors,
 )
-from qforms.problem import clearing_denominator
 
 
 class TestUForm:
@@ -143,7 +142,7 @@ class TestWForm:
             )
 
     def test_w0_height_unwinds_definition(self, fix_d):
-        D = clearing_denominator(fix_d)
+        D = fix_d.clearing_D
         for n in (0, 2, 5):
             expected = (
                 form_height(v_form(fix_d, n))

@@ -24,7 +24,7 @@ from qforms import (
     validate_spec,
 )
 from qforms import measure
-from qforms.enclosure import Enclosure, ceil_sqrt, log_enclosure
+from qforms.enclosure import Enclosure, log_enclosure
 from qforms.forms import LinearForm, evaluate_exact, w_form
 from qforms.measure import _vs_half
 from qforms.series import evaluate_form, grid_enclosure, lambda_grid, omega_from_vector
@@ -212,6 +212,20 @@ class TestExponentScan:
         )
 
 
+def _ceil_sqrt(x):
+    """Smallest integer k >= 0 with k*k >= x (x >= 0)."""
+    return math.isqrt(math.ceil(x) - 1) + 1 if x > 0 else 0
+
+
+@given(st.fractions(min_value=F(0), max_value=F(10) ** 6, max_denominator=997))
+@settings(max_examples=200)
+def test_ceil_sqrt(x):
+    k = _ceil_sqrt(x)
+    assert F(k * k) >= x
+    if k > 0:
+        assert F((k - 1) * (k - 1)) < x
+
+
 def _old_a(spec, params):
     return (1 - params.M * params.gamma) * F(1, spec.d) * spec.a_root
 
@@ -223,7 +237,7 @@ def _old_choose_parameters(spec, params, H, a=None):
     L = log_enclosure(H, 64) / spec.log_q1
     if a is None:
         a = _old_a(spec, params)
-    l = max(1, ceil_sqrt(L.midpoint / a.midpoint))
+    l = max(1, _ceil_sqrt(L.midpoint / a.midpoint))
     n0 = math.ceil((params.M - 1).hi * l / spec.d)
     return l, max(n0, spec.S * l)
 

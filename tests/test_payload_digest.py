@@ -14,7 +14,7 @@ from qforms.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-DIGEST = "34e85132bc9f0ff074e6d0b2fc4f7bfcb38b2383bfc08616019b6232de5b30bc"
+DIGEST = "6c22706089b66057431b083a3ec72695ff1021530af73f595227fd8da5eb2750"
 
 # n_vars is 2 on FIX-A/B, 3 on FIX-C and 5 on FIX-D
 REST = {"A": "1/2", "B": "-3/4", "C": "1/2,-2", "D": "1,-1/2,2/3,3"}

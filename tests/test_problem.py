@@ -16,7 +16,6 @@ from qforms import (
     PRootAtQPower,
     QFormsError,
     QNotAdmissible,
-    clearing_denominator,
     gamma_enclosure,
     measure_params,
     validate_spec,
@@ -320,15 +319,15 @@ class TestMeasureParams:
 
 class TestClearingDenominator:
     def test_trivial(self, fix_a):
-        assert clearing_denominator(fix_a) == 1
+        assert fix_a.clearing_D == 1
 
     def test_mixed(self):
         spec = validate_spec(2, 1, [0, F(1, 3)], [(F(5, 7), 1)])
-        assert clearing_denominator(spec) == 21
+        assert spec.clearing_D == 21
 
     def test_rational_q(self):
         spec = validate_spec(3, 2, [0, 1], [(F(1), 1)])
-        assert clearing_denominator(spec) == 1  # d = 1, so only k = 0 matters
+        assert spec.clearing_D == 1  # d = 1, so only k = 0 matters
 
     @pytest.mark.parametrize(
         "q,p,pts",
@@ -340,7 +339,7 @@ class TestClearingDenominator:
     )
     def test_minimality(self, q, p, pts):
         spec = validate_spec(q[0], q[1], p, pts)
-        D = clearing_denominator(spec)
+        D = spec.clearing_D
 
         def works(cand: int) -> bool:
             if any((cand * c).denominator != 1 for c in spec.P.coefficients):

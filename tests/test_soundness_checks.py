@@ -78,3 +78,15 @@ def test_only_refine_and_measure_params_climb_the_ladder():
         if isinstance(call.func, ast.Attribute) and call.func.attr == "ladder"
     }
     assert callers == {"util.PrecisionPolicy.refine", "problem.measure_params"}
+
+
+def test_every_identity_check_reads_the_spec():
+    # a check that takes no spec tests nothing the spec builds
+    tree = ast.parse((SRC / "qforms" / "verifier.py").read_text())
+    firsts = {
+        node.name: node.args.args[0].arg if node.args.args else None
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")
+    }
+    assert firsts, "no _check_* functions found in verifier.py"
+    assert {name: arg for name, arg in firsts.items() if arg != "spec"} == {}

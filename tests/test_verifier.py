@@ -16,7 +16,7 @@ from qforms import (
     validate_spec,
 )
 from qforms.enclosure import log_enclosure
-from qforms.forms import u_form, v_form
+from qforms.forms import OperatorPoly, expand_shift_factors, u_form, v_form
 from qforms.verifier import log_of_enclosure
 
 
@@ -27,8 +27,6 @@ class TestCheckIdentities:
             assert report.all_passed, report.to_json()
             assert {c.name for c in report.checks} == {
                 "recurrence",
-                "shift_identity",
-                "annihilation",
                 "main_relation",
                 "functional_equation",
             }
@@ -90,7 +88,40 @@ class TestCheckIdentities:
         report = check_identities(fix_b, n_max=8, series_N=8, omega_count=1)
         data = report.to_json()
         assert data["all_passed"] is True
-        assert len(data["checks"]) == 5
+        assert len(data["checks"]) == 3
+
+    @staticmethod
+    def wrong_factors(spec, wrong):
+        """The factors of prod_{k=1..d} prod_j (1 - alpha_j q^-k B)^{s_j}, the
+        expansion at (l, delta) = (d, 0), with one planted error."""
+        ks = range(spec.d) if wrong == "k_shifted" else range(1, spec.d + 1)
+        scale = 2 if wrong == "alpha_doubled" else 1
+        factors = [
+            scale * alpha * spec.q ** -k for k in ks for alpha, s in spec.points for _ in range(s)
+        ]
+        return factors[:-1] if wrong == "dropped" else factors
+
+    @pytest.mark.parametrize("wrong", ["dropped", "k_shifted", "alpha_doubled"])
+    @pytest.mark.parametrize(
+        "fixture,first_pair", [("fix_a", (1, 1)), ("fix_c", (1, 2)), ("fix_d", (2, 4))],
+        ids=["fix_a", "fix_c", "fix_d"],
+    )
+    def test_main_relation_catches_a_wrong_operator_expansion(
+        self, request, fixture, first_pair, wrong
+    ):
+        # a fresh copy of the fixture: the planted expansion must not reach other tests
+        base = request.getfixturevalue(fixture)
+        spec = validate_spec(base.q_num, base.q_den, list(base.P.coefficients), list(base.points))
+        factors = self.wrong_factors(spec, wrong)
+        spec.operator_polys[(spec.d, 0)] = OperatorPoly(0, spec.d, expand_shift_factors(factors))
+
+        report = check_identities(spec, n_max=10, series_N=10, omega_count=1)
+        by_name = {c.name: c for c in report.checks}
+        main = by_name["main_relation"]
+        assert not main.passed
+        assert (main.counterexample["l"], main.counterexample["n"]) == first_pair
+        assert by_name["recurrence"].passed
+        assert by_name["functional_equation"].passed
 
 
 class TestBoundsReport:
