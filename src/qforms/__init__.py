@@ -48,6 +48,7 @@ from .problem import (
     validate_spec,
 )
 from .series import (
+    Grid,
     evaluate_form,
     f_derivative_enclosure,
     functional_equation_residual,
@@ -76,6 +77,7 @@ __all__ = [
     "DomainViolation",
     "Enclosure",
     "ExponentScanReport",
+    "Grid",
     "IdentityReport",
     "InvalidSpec",
     "LinearForm",

@@ -53,7 +53,12 @@ class UndecidableAtCap(QFormsError):
 
 
 class PrecisionCapExceeded(QFormsError):
-    """An enclosure could not be refined enough within the precision cap."""
+    """An enclosure stayed undecided at the precision cap; certify's has .attempts."""
+
+    def __init__(self, message: str, attempts: list | None = None):
+        if attempts is not None:
+            self.attempts = attempts
+        super().__init__(message)
 
 
 class DomainViolation(QFormsError):

@@ -8,10 +8,9 @@ the constrained omega vector satisfies |w_{l,n}(omega)| <= 1/2; then
 
 The decision runs on integers: w_{l,n} has integer coefficients (c_0, c_i),
 so w(A) = c_0 A_0 + sum_{i>=1} c_i A_i is exact, and series.evaluate_form
-gives w(omega) as integer ends over a den, from the omega_0 = -sum_{i>=1}
-A_i f_i that omega_from_vector encloses once per rung, shared by every
-(l, n) and the cross-check |A_0 - omega_0|. The ends are compared with
-+-den/2.
+gives w(omega) as a series.Grid, from the omega_0 = -sum_{i>=1} A_i f_i that
+omega_from_vector encloses once per rung, shared by every (l, n); Grid.vs_half
+compares its ends with +-den/2. The cross-check refines lambda_grid(A).
 
 The exponent scan brute-forces small height classes and compares the
 observed exponent -log|Lambda| / log H against mu.
@@ -19,11 +18,12 @@ observed exponent -log|Lambda| / log H against mu.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .enclosure import Enclosure, log_enclosure, log_grid, log_of_enclosure, sqrt_enclosure
 from .errors import (
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .forms import w_form
 from .problem import MeasureParams, ProblemSpec, measure_params
-from .series import evaluate_form, grid_enclosure, lambda_grid, omega_from_vector
+from .series import Grid, evaluate_form, lambda_grid, omega_from_vector
 from .util import DEFAULT_RETRY_CAP, PrecisionPolicy
 
 HALF = Fraction(1, 2)
@@ -93,35 +93,13 @@ class Certificate:
         }
 
 
-def _refined_lambda_abs(
-    A: Sequence[int], omega0: Callable[[int], tuple[int, int, int]], policy: PrecisionPolicy
-) -> Enclosure:
-    """|Lambda(A)| = |A_0 - omega_0| refined until it excludes zero (A != 0);
-    omega0(b) is omega_from_vector of A[1:] at b bits."""
-
-    def shifted(b: int) -> tuple[int, int, int]:
-        lo, hi, den = omega0(b)
-        s = A[0] * den
-        return s - hi, s - lo, den
-
-    lam, bits = policy.refine(shifted, lambda g: g[0] > 0 or g[1] < 0)
+def _refined_lambda_abs(spec: ProblemSpec, A: Sequence[int], policy: PrecisionPolicy) -> Enclosure:
+    """|Lambda(A)| refined until it excludes zero (A != 0)."""
+    lam, bits = policy.refine(lambda b: lambda_grid(spec, A, b), Grid.excludes_zero)
     if bits is None:
         raise PrecisionCapExceeded(
-            f"|Lambda(A)| for A = {tuple(A)} still straddles zero at "
-            f"{policy.cap_bits} bits"
-        )
-    return grid_enclosure(lam).abs()
-
-
-def _vs_half(w: tuple[int, int, int]) -> int:
-    """-1 if |w| <= 1/2 on all of [lo, hi]/den, 1 if |w| > 1/2 on all of it,
-    0 if undecided; w = (lo, hi, den), decided by integer comparisons."""
-    lo, hi, den = w
-    if 2 * hi <= den and -2 * lo <= den:
-        return -1
-    if 2 * lo > den or 2 * hi < -den:
-        return 1
-    return 0
+            f"|Lambda(A)| for A = {tuple(A)} still straddles zero at {policy.cap_bits} bits")
+    return lam.enclosure().abs()
 
 
 def certify_lower_bound(
@@ -137,7 +115,8 @@ def certify_lower_bound(
     Starting from choose_parameters (or l_override), each candidate l scans
     the window [n0, n0 + dS] for an exact nonzero w_{l,n}(A) whose
     |w_{l,n}(omega)| enclosure can be certified <= 1/2; failing that, l is
-    incremented (re-deriving n0) up to retry_cap times.
+    incremented (re-deriving n0) up to retry_cap times. Failing all, it raises
+    RetryCapExceeded if each attempt decided |w(omega)| > 1/2, else PrecisionCapExceeded.
     """
     A = tuple(int(a) for a in A)
     if len(A) != spec.n_vars:
@@ -151,20 +130,10 @@ def certify_lower_bound(
 
     a0, rest = A[0], A[1:]
     H = max(max(abs(a) for a in rest), 2)
-    if l_override is not None:
-        l_start = l_override
-    else:
-        l_start, _ = choose_parameters(spec, params, H)
+    l_start = choose_parameters(spec, params, H)[0] if l_override is None else l_override
 
-    # omega_0 = -sum_(i>=1) A_i f_i on each rung; later (l, n) and the
-    # cross-check restart at the same rungs
-    rungs = {}
-
-    def omega0(b: int) -> tuple[int, int, int]:
-        if b not in rungs:
-            rungs[b] = omega_from_vector(spec, rest, b)
-        return rungs[b]
-
+    # omega_0 = -sum_(i>=1) A_i f_i on each rung; later (l, n) restart at the same rungs
+    omega0 = functools.cache(lambda b: omega_from_vector(spec, rest, b))
     failed = []  # (l, n, the decided w(omega) grid or None at the cap)
     for l in range(l_start, l_start + retry_cap + 1):
         n0 = _n0_for(spec, params, l)
@@ -174,27 +143,20 @@ def certify_lower_bound(
             wA = c0 * a0 + sum(c * a for c, a in zip(cs, rest))
             if wA == 0:
                 continue
-            w, bits = policy.refine(lambda b: evaluate_form(form, rest, omega0(b)), _vs_half)
-            if bits is not None and _vs_half(w) < 0:
+            w, bits = policy.refine(lambda b: evaluate_form(form, rest, omega0(b)), Grid.vs_half)
+            if bits is not None and w.vs_half() < 0:
                 if c0 == 0:
                     raise AssertionError("x0 coefficient vanished despite certification")
-                bound = (abs(wA) - HALF) / abs(c0)
-                cross = _refined_lambda_abs(A, omega0, policy)
                 return Certificate(
-                    A, l, n, Fraction(wA), grid_enclosure(w), Fraction(c0), bound, cross
-                )
-            else:
-                failed.append((l, n, None if bits is None else w))
-    attempts = [
-        {"l": l, "n": n, "w_omega": "cap" if w is None else "[{0.lo}, {0.hi}]".format(
-            grid_enclosure(w).abs())}
-        for l, n, w in failed
-    ]
-    raise RetryCapExceeded(
-        f"no (l, n) with |w(omega)| <= 1/2 for A = {A} within l <= "
-        f"{l_start + retry_cap}",
-        attempts,
-    )
+                    A, l, n, Fraction(wA), w.enclosure(), Fraction(c0),
+                    (abs(wA) - HALF) / abs(c0), _refined_lambda_abs(spec, A, policy))
+            failed.append((l, n, None if bits is None else w))
+    attempts = [{"l": l, "n": n, "w_omega": "cap" if w is None else "[{0.lo}, {0.hi}]".format(
+        w.enclosure().abs())} for l, n, w in failed]
+    message = f"no (l, n) with |w(omega)| <= 1/2 for A = {A} within l <= {l_start + retry_cap}"
+    if any(w is None for _, _, w in failed):
+        raise PrecisionCapExceeded(f"{message}; undecided at {policy.cap_bits} bits", attempts)
+    raise RetryCapExceeded(message, attempts)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +212,9 @@ class ExponentScanReport:
 # The most shell vectors one exponent_scan may visit: (2 H_max + 1)^dim - 3^dim
 # exhaustively, sample_count per height at random; more raise DomainViolation.
 # The costliest scan at the bound, FIX-A or FIX-B to H_max = 100,001 at 128
-# bits (one row per vector pair), takes 14-15 s in process on a 2-core x86
-# host; the cost of a vector grows with the precision, to about 0.6 ms at the
-# 16,384-bit cap (about 2 minutes at the bound).
+# bits (one row per vector pair), takes 27.5 s in exponent_scan (33 s as a CLI
+# run) on a 2-core x86 host; a vector costs more at higher precision, about
+# 0.6 ms at the 16,384-bit cap (about 2 minutes at the bound).
 MAX_SCAN_VECTORS = 200_000
 
 
@@ -362,9 +324,7 @@ def exponent_scan(
         lam_hi, best_A = best
         lam = Enclosure(Fraction(best_lo, 1 << w), Fraction(lam_hi, 1 << w))
         if not lam.excludes_zero():
-            lam = _refined_lambda_abs(
-                best_A, lambda b: omega_from_vector(spec, best_A[1:], b), policy
-            )
+            lam = _refined_lambda_abs(spec, best_A, policy)
         log_lam = log_of_enclosure(lam)
         log_H = log_enclosure(H, 48)
         exponent = -log_lam / log_H

@@ -170,8 +170,8 @@ class ProblemSpec:
 
     @cached_property
     def value_tables(self) -> dict:
-        """series.value_table: precision_bits -> ({(j, k, sigma): Enclosure},
-        the ends times 2^(precision_bits + 2) as integer pairs in var_indices order)."""
+        """series.value_table: precision_bits -> the values f^(sigma)(alpha_j q^k)
+        as series.Grid over 2^(precision_bits + 2), one tuple in var_indices order."""
         return {}
 
     @property

@@ -1,41 +1,39 @@
 """Rigorous enclosures of the series values f^(sigma)(alpha_j q^k).
 
+Every interval here is a Grid(lo, hi, den) of integers, with one predicate
+per question (excludes_zero, vs_half) and enclosure() for a report.
+
 The series sum_{n >= sigma} sigma! C(n,sigma) z^(n-sigma) / prod_{i<=n} P(q^i)
-is summed exactly over the rationals and truncated once the remaining tail
-is provably geometric with ratio <= 1/2:
+is summed in fixed point: term n is an integer interval on the grid
+2^-(p+2+g), stepped by the exact ratio z n D q2^(dn) / ((n - sigma) c_n),
+c_n = D q2^(dn) P(q^n), with the low end floored and the high end ceiled.
+From the regime start, found before summing, |P(q^i)| >= |p_d| |q|^(d i) / 2
+(past the dominance index k*) and the binomial ratio is <= 2 (past 2 sigma),
+so each term at most halves and the tail is at most twice the first omitted
+term. The sum stops at the first term with 4 |term| <= 2^-(p+1); its ends,
+less and plus twice that term, are floored and ceiled onto 2^-(p+2). Both
+decisions are taken on the integer intervals; where one cannot be, g grows
+to fit the largest term and the count. So the ends are those of the exact
+sum rounded outward, bar an exact end on the grid itself, which no guard
+decides and which is taken one step outward.
 
-  * beyond the dominance index k*, |P(q^i)| >= |p_d| |q|^(d i) / 2, and
-  * past n >= 2 sigma the binomial ratio (n+1)/(n+1-sigma) is <= 2,
-
-so the tail is at most twice the first omitted term. Everything downstream
-(linear combinations, form evaluations, residuals) reads the resulting
-enclosures on their integer grid or stays exactly rational.
-
-Each value is rounded outward onto the grid 2^-w, w = precision_bits + 2,
-so a combination A_0 + sum A_i f_i is one integer dot product: with A
-scaled by the lcm den of its denominators, a positive coefficient adds
-c lo_i 2^w to the lower sum and c hi_i 2^w to the upper one, a negative
-coefficient swaps the two, and both sums lie over den 2^w. The memo entry
-in spec.value_tables keeps, next to the Enclosure table, these grid
-integers (lo_i 2^w, hi_i 2^w) in var_indices order; lambda_grid reads only
-them, so the endpoints are the same rationals as interval sums of the table
-entries and no call divides a big integer.
-
-A linear form at omega = (omega_0, rest), omega_0 = -sum rest_i f_i, stays
-on the same integers: omega_from_vector is lambda_grid of (0, rest) with
-its ends negated and swapped, and evaluate_form adds c_0 times the end of
-omega_0 that the sign of c_0 picks to the exact part sum c_i rest_i, all
-over den times the form's own denominator. grid_enclosure turns a triple
-into an Enclosure where a report prints it or takes its log.
+value_table keeps the dS values as Grids over 2^(p+2) in var_indices order,
+memoized per precision in spec.value_tables. lambda_grid forms
+A_0 + sum A_i f_i as one integer dot product over them, A scaled by the lcm
+den of its denominators: a positive coefficient adds c lo_i to the lower sum
+and c hi_i to the upper one, a negative one swaps the two. omega_from_vector
+negates lambda_grid of (0, rest), omega_0 = -sum rest_i f_i, and
+evaluate_form adds c_0 times the end of omega_0 that the sign of c_0 picks to
+the exact part sum c_i rest_i, over den times the form's own denominator.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
-from .enclosure import Enclosure
+from .enclosure import Enclosure, log_grid
 from .errors import PrecisionCapExceeded
 from .forms import LinearForm, falling_factorial, v_form
 from .problem import ProblemSpec
@@ -43,111 +41,148 @@ from .problem import ProblemSpec
 _MAX_SERIES_TERMS = 1_000_000
 
 
-def f_derivative_enclosure(
-    spec: ProblemSpec, j: int, k: int, sigma: int, precision_bits: int
-) -> Enclosure:
+class Grid(NamedTuple):
+    """The interval [lo/den, hi/den] on integers, lo <= hi and den > 0."""
+
+    lo: int
+    hi: int
+    den: int
+
+    def excludes_zero(self) -> bool:
+        return self.lo > 0 or self.hi < 0
+
+    def vs_half(self) -> int:
+        """-1 if |x| <= 1/2 on all of the interval, 1 if |x| > 1/2 on all of it, else 0."""
+        lo, hi, den = self
+        if 2 * hi <= den and -2 * lo <= den:
+            return -1
+        if 2 * lo > den or 2 * hi < -den:
+            return 1
+        return 0
+
+    def __neg__(self) -> "Grid":
+        return Grid(-self.hi, -self.lo, self.den)
+
+    def enclosure(self) -> Enclosure:
+        """The Enclosure with the same rational ends."""
+        return Enclosure(Fraction(self.lo, self.den), Fraction(self.hi, self.den))
+
+
+def _regime_start(spec: ProblemSpec, z: Fraction, sigma: int) -> int:
+    """Least n >= 2 sigma with n + 1 >= k* and 8 |z| <= |p_d| |q|^(d (n+1)),
+    or a bound past the term budget when it lies beyond that. The least such
+    m = n + 1 is ceil(ln r / ln |q|^d), r = 8 |z| / |p_d|: the integer log
+    kernel brackets it, and exact powers settle the bracket."""
+    r = 8 * abs(z) / abs(spec.P.leading)
+    qd = abs(spec.q) ** spec.d
+    lo = hi = 0  # |q|^(d m) >= r fails below lo and holds at hi
+    if r > 1:
+        r_lo, r_hi, wr = log_grid(r, 64)
+        q_lo, q_hi, wq = log_grid(qd, 64 + qd.denominator.bit_length())  # q_lo > 0
+        lo, hi = -(-(r_lo << wq) // (q_hi << wr)), -(-(r_hi << wq) // (q_lo << wr))
+        if lo - 1 - sigma > _MAX_SERIES_TERMS:
+            return lo
+        while hi > lo:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if qd ** mid >= r else (mid + 1, hi)
+    return max(2 * sigma, spec.dominance_index - 1, hi - 1)
+
+
+def _series_grid(spec: ProblemSpec, j: int, k: int, sigma: int, precision_bits: int,
+                 guard: int = 32) -> Grid:
+    """f^(sigma)(alpha_j q^k) as a Grid over 2^(precision_bits + 2), width
+    <= 2^-precision_bits, summed on integers with guard bits to start."""
+    z = spec.point_arg(j, k)
+    start = _regime_start(spec, z, sigma)
+    if start - sigma > _MAX_SERIES_TERMS:
+        raise PrecisionCapExceeded(f"series for f^({sigma}) at alpha_{j} q^{k} did not localize")
+    D, zn, zd, q2d = spec.clearing_D, z.numerator, z.denominator, spec.q_den ** spec.d
+    first = math.factorial(sigma) * math.prod(  # term sigma: sigma! / prod_{i<=sigma} P(q^i)
+        Fraction(D * q2d ** i, sum(t)) for i, t in zip(range(1, sigma + 1), spec.p_terms()))
+    final = False
+    while True:
+        w = precision_bits + 2 + guard
+        limit = 1 << (guard - 1)  # 4 |term| <= 2^-(p+1) is |term| 2^w <= limit
+        tl = (first.numerator << w) // first.denominator
+        th = -(-(first.numerator << w) // first.denominator)
+        lo = hi = top = 0
+        n, q2dn, walk = sigma, q2d ** sigma, spec.p_terms(sigma + 1)
+        while True:
+            big, small = max(-tl, th), max(tl, -th, 0)  # |term| 2^w lies in [small, big]
+            if n >= start and small <= limit:  # the stop test holds or is undecided
+                break
+            top = max(top, big)
+            lo, hi = lo + tl, hi + th
+            n, q2dn = n + 1, q2dn * q2d
+            a, b = zn * n * D * q2dn, zd * (n - sigma) * sum(next(walk))
+            if (a > 0) == (b > 0):  # a / b > 0 (a != 0); // floors for either sign of b
+                tl, th = tl * a // b, -(-th * a // b)
+            else:
+                tl, th = th * a // b, -(-tl * a // b)
+        # the sum minus and plus twice the term, floored and ceiled: an end is decided
+        # when both ends of its own interval round alike, and a final pass takes it
+        # outward once the intervals are under one step together (width <= 2^-p)
+        ends = ((lo - 2 * big) >> guard, -(-(hi + 2 * big) >> guard))
+        decided = big <= limit and ends == ((hi - 2 * small) >> guard,
+                                            -(-(lo + 2 * small) >> guard))
+        if decided or final and hi - lo + 4 * (big - small) < 1 << guard:
+            return Grid(*ends, 1 << (precision_bits + 2))
+        guard, final = max(2 * guard, top.bit_length() - w + 2 * n.bit_length() + 32), True
+
+
+def f_derivative_enclosure(spec: ProblemSpec, j: int, k: int, sigma: int,
+                           precision_bits: int) -> Enclosure:
     """Enclosure of f^(sigma)(alpha_j q^k), width <= 2^-precision_bits."""
     if not (1 <= j <= spec.m and 0 <= k < spec.d and 0 <= sigma < spec.points[j - 1][1]):
         raise ValueError(f"(j, k, sigma) = ({j}, {k}, {sigma}) outside the value slots")
-    z = spec.point_arg(j, k)
-    absz = abs(z)
-    absq = abs(spec.q)
-    lead = abs(spec.P.leading)
-    kstar = spec.dominance_index
-    threshold = Fraction(1, 1 << (precision_bits + 1))
-
-    # 1 / P(q^n) for n = 1, 2, ..., from the integers D q2^(dn) P(q^n)
-    inv_p = (
-        Fraction(spec.clearing_D * spec.q_den ** (spec.d * n), sum(terms))
-        for n, terms in enumerate(spec.p_terms(), start=1)
-    )
-    # term n is sigma! C(n, sigma) z^(n-sigma) / prod_{i<=n} P(q^i)
-    total = Fraction(0)
-    term = Fraction(math.factorial(sigma)) * math.prod(next(inv_p) for _ in range(sigma))
-    n = sigma
-    while True:
-        in_regime = (
-            n >= 2 * sigma
-            and n + 1 >= kstar
-            and 8 * absz <= lead * absq ** (spec.d * (n + 1))
-        )
-        if in_regime and 4 * abs(term) <= threshold:
-            tail = 2 * abs(term)
-            break
-        total += term
-        n += 1
-        term *= z * Fraction(n, n - sigma) * next(inv_p)
-        if n - sigma > _MAX_SERIES_TERMS:
-            raise PrecisionCapExceeded(
-                f"series for f^({sigma}) at alpha_{j} q^{k} did not localize"
-            )
-    return Enclosure(total - tail, total + tail).outward_round(precision_bits + 2)
+    return _series_grid(spec, j, k, sigma, precision_bits).enclosure()
 
 
-def value_table(spec: ProblemSpec, precision_bits: int) -> dict[tuple[int, int, int], Enclosure]:
-    """All dS enclosures f^(sigma)(alpha_j q^k) at one precision, keyed by
-    (j, k, sigma); memoized per (spec, precision) in spec.value_tables next to
-    their ends times 2^(precision_bits + 2), which lambda_grid reads."""
-    entry = spec.value_tables.get(precision_bits)
-    if entry is None:
-        w = precision_bits + 2
-        table = {jks: f_derivative_enclosure(spec, *jks, precision_bits)
-                 for jks in spec.var_indices}
-        grid = tuple(((e.lo.numerator << w) // e.lo.denominator,
-                      -((-e.hi.numerator << w) // e.hi.denominator)) for e in table.values())
-        entry = spec.value_tables.setdefault(precision_bits, (table, grid))
-    return entry[0]
+def value_table(spec: ProblemSpec, precision_bits: int) -> tuple[Grid, ...]:
+    """The dS values f^(sigma)(alpha_j q^k) as Grids over 2^(precision_bits + 2)
+    in var_indices order, memoized per precision in spec.value_tables."""
+    table = spec.value_tables.get(precision_bits)
+    if table is None:
+        table = spec.value_tables.setdefault(precision_bits, tuple(
+            _series_grid(spec, *jks, precision_bits) for jks in spec.var_indices))
+    return table
 
 
-def lambda_grid(spec: ProblemSpec, A: Sequence, precision_bits: int) -> tuple[int, int, int]:
-    """Integers lo <= hi and den with A_0 + sum A_{j,k,sigma} f^(sigma)(alpha_j q^k)
-    in [lo/den, hi/den]; den is the lcm of A's denominators times 2^(precision_bits + 2)."""
+def lambda_grid(spec: ProblemSpec, A: Sequence, precision_bits: int) -> Grid:
+    """A_0 + sum A_{j,k,sigma} f^(sigma)(alpha_j q^k) as a Grid whose den is
+    the lcm of A's denominators times 2^(precision_bits + 2)."""
     if len(A) != spec.n_vars:
         raise ValueError(f"A must have length {spec.n_vars}")
-    value_table(spec, precision_bits)  # fills the memo entry whose grid integers are read
-    grid = spec.value_tables[precision_bits][1]
+    table = value_table(spec, precision_bits)
     w = precision_bits + 2
     A = [a if isinstance(a, int) else Fraction(a) for a in A]
     den = math.lcm(*(a.denominator for a in A))
     lo = hi = A[0].numerator * (den // A[0].denominator) << w
-    for a, (e_lo, e_hi) in zip(A[1:], grid):
+    for a, (e_lo, e_hi, _) in zip(A[1:], table):
         c = a.numerator * (den // a.denominator)
         if c > 0:
             lo, hi = lo + c * e_lo, hi + c * e_hi
         elif c < 0:
             lo, hi = lo + c * e_hi, hi + c * e_lo
-    return lo, hi, den << w
-
-
-def grid_enclosure(grid: tuple[int, int, int]) -> Enclosure:
-    """The Enclosure [lo/den, hi/den] of an integer triple (lo, hi, den)."""
-    lo, hi, den = grid
-    return Enclosure(Fraction(lo, den), Fraction(hi, den))
+    return Grid(lo, hi, den << w)
 
 
 def lambda_enclosure(spec: ProblemSpec, A: Sequence, precision_bits: int) -> Enclosure:
     """Enclosure of A_0 + sum A_{j,k,sigma} f^(sigma)(alpha_j q^k)."""
-    return grid_enclosure(lambda_grid(spec, A, precision_bits))
+    return lambda_grid(spec, A, precision_bits).enclosure()
 
 
-def omega_from_vector(
-    spec: ProblemSpec, rest: Sequence, precision_bits: int
-) -> tuple[int, int, int]:
-    """Integers lo <= hi and den with omega_0 = -sum rest_i f^(sigma)(alpha_j q^k)
-    in [lo/den, hi/den]; den is a multiple of every denominator in rest."""
+def omega_from_vector(spec: ProblemSpec, rest: Sequence, precision_bits: int) -> Grid:
+    """omega_0 = -sum rest_i f^(sigma)(alpha_j q^k) as a Grid whose den is a
+    multiple of every denominator in rest."""
     if len(rest) != spec.n_vars - 1:
         raise ValueError(f"rest must have length {spec.n_vars - 1}")
-    lo, hi, den = lambda_grid(spec, (0, *rest), precision_bits)
-    return -hi, -lo, den
+    return -lambda_grid(spec, (0, *rest), precision_bits)
 
 
-def evaluate_form(
-    form: LinearForm, rest: Sequence, omega0: tuple[int, int, int]
-) -> tuple[int, int, int]:
-    """Integers lo <= hi and den with the form at (omega_0, rest) in
-    [lo/den, hi/den], for omega_0 in omega0 = (lo, hi, den) / den from
-    omega_from_vector; den * form.den is the result's denominator, and
-    lo == hi when the x_0 slot is 0."""
+def evaluate_form(form: LinearForm, rest: Sequence, omega0: Grid) -> Grid:
+    """The form at (omega_0, rest) as a Grid over omega0.den * form.den, for omega_0
+    in the Grid omega0 from omega_from_vector; lo == hi when the x_0 slot is 0."""
     c0, *cs = form.nums
     if len(cs) != len(rest):
         raise ValueError(f"form has {len(cs)} rest slots, rest has length {len(rest)}")
@@ -156,7 +191,7 @@ def evaluate_form(
         lo, hi = hi, lo
     L = math.lcm(*(r.denominator for r in rest))
     e = sum(c * r.numerator * (L // r.denominator) for c, r in zip(cs, rest)) * (den // L)
-    return e + c0 * lo, e + c0 * hi, den * form.den
+    return Grid(e + c0 * lo, e + c0 * hi, den * form.den)
 
 
 def functional_equation_residual(

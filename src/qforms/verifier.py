@@ -27,7 +27,7 @@ from .forms import (
     w_form,
 )
 from .problem import ProblemSpec
-from .series import evaluate_form, functional_equation_residual, grid_enclosure, omega_from_vector
+from .series import Grid, evaluate_form, functional_equation_residual, omega_from_vector
 from .util import PrecisionPolicy, random_rational, random_rational_vector
 
 
@@ -305,15 +305,14 @@ def bounds_report(
         start = precision_bits
         for (l, n), form in zip(pairs, vl_forms):
             value, bits = PrecisionPolicy(start, precision_cap).refine(
-                lambda b: evaluate_form(form, rest, omega_at(b)), lambda v: v[0] > 0 or v[1] < 0
-            )
+                lambda b: evaluate_form(form, rest, omega_at(b)), Grid.excludes_zero)
             if bits is None:
                 smallness_rows.append(SmallnessRow(label, l, n, None, None, True))
                 undecided += 1
                 start = precision_cap
                 continue
             start = bits
-            log_v = log_of_enclosure(grid_enclosure(value).abs()) / q_log
+            log_v = log_of_enclosure(value.enclosure().abs()) / q_log
             c_row = (log_v - log_max + l * n - shape_shift * l * l) * Fraction(1, n + 1)
             smallness_rows.append(SmallnessRow(label, l, n, log_v, c_row.hi))
             fitted_c = c_row.hi if fitted_c is None else max(fitted_c, c_row.hi)
@@ -393,17 +392,16 @@ def nonvanishing_scan(
             "non-vanishing window failed for rational omega: implementation bug"
         )
 
-    def first_nonzero(bits: int) -> Optional[tuple[int, tuple[int, int, int]]]:
+    def first_nonzero(bits: int) -> Optional[tuple[int, Grid]]:
         omega0 = omega_from_vector(spec, vec, bits)
         for n in window:
             value = evaluate_form(vl_form(spec, l0, n), vec, omega0)
-            if value[0] > 0 or value[1] < 0:
+            if value.excludes_zero():
                 return n, value
         return None
 
     found, bits = policy.refine(first_nonzero, lambda hit: hit is not None)
     if found is None:
         return NonvanishingVerdict(n0, len(window), None, policy.cap_bits)
-    n, value = found
-    value = grid_enclosure(value)
+    n, value = found[0], found[1].enclosure()
     return NonvanishingVerdict(n0, len(window), n, bits, witness=f"[{value.lo}, {value.hi}]")

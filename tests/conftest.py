@@ -7,13 +7,14 @@ from the closed double-sum formula, logs from mpmath at high precision.
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from qforms import validate_spec
+from qforms import Enclosure, PrecisionCapExceeded, validate_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -129,3 +130,43 @@ def oracle_vl_nested(spec, l: int, n: int) -> tuple[F, ...]:
                 ]
     assert len(window) == 1
     return window[0]
+
+
+def reference_series_enclosure(spec, j: int, k: int, sigma: int, precision_bits: int) -> Enclosure:
+    """f^(sigma)(alpha_j q^k) summed exactly in Fractions, truncated by the
+    same regime and stop test as series._series_grid, and rounded outward
+    onto the grid 2^-(precision_bits + 2): the kernel's ends, except where
+    an exact end lies on that grid."""
+    z = spec.point_arg(j, k)
+    absz = abs(z)
+    absq = abs(spec.q)
+    lead = abs(spec.P.leading)
+    kstar = spec.dominance_index
+    threshold = F(1, 1 << (precision_bits + 1))
+
+    # 1 / P(q^n) for n = 1, 2, ..., from the integers D q2^(dn) P(q^n)
+    inv_p = (
+        F(spec.clearing_D * spec.q_den ** (spec.d * n), sum(terms))
+        for n, terms in enumerate(spec.p_terms(), start=1)
+    )
+    # term n is sigma! C(n, sigma) z^(n-sigma) / prod_{i<=n} P(q^i)
+    total = F(0)
+    term = F(math.factorial(sigma)) * math.prod(next(inv_p) for _ in range(sigma))
+    n = sigma
+    while True:
+        in_regime = (
+            n >= 2 * sigma
+            and n + 1 >= kstar
+            and 8 * absz <= lead * absq ** (spec.d * (n + 1))
+        )
+        if in_regime and 4 * abs(term) <= threshold:
+            tail = 2 * abs(term)
+            break
+        total += term
+        n += 1
+        term *= z * F(n, n - sigma) * next(inv_p)
+        if n - sigma > 1_000_000:
+            raise PrecisionCapExceeded(
+                f"series for f^({sigma}) at alpha_{j} q^{k} did not localize"
+            )
+    return Enclosure(total - tail, total + tail).outward_round(precision_bits + 2)

@@ -1,0 +1,122 @@
+"""Mutation records for the soundness-critical rounding directions, and their runner.
+
+Each record is (file under src/qforms, old text, new text, test node ids): the
+substitution plants one fault, and the named tests must fail on it. A tier-1
+test (tests/test_soundness_checks.py) checks that every old text occurs
+exactly once, so a refactor of these lines must carry its records along.
+
+    python tests/mutants.py          # run every record
+    python tests/mutants.py 0 5      # run records 0 and 5
+
+For each record the runner copies src/ and tests/ to a temporary directory,
+applies the substitution there, and runs the named tests in a child process
+with a timeout. It prints one line per record and exits 1 if any mutant
+survives. Grounding: DeMillo, Lipton & Sayward, "Hints on test data
+selection", IEEE Computer 11 (1978).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+KERNEL = [
+    "tests/test_series.py::TestKernel",
+    "tests/test_series.py::test_kernel_contains_the_reference_within_one_step",
+]
+FORM_AT_OMEGA = [
+    "tests/test_series.py::TestEvaluateForm::test_matches_the_enclosure_formula",
+    "tests/test_measure.py::TestIntegerPaths::test_w_at_omega_is_E_minus_c0_t",
+]
+
+MUTANTS = [
+    # the kernel's step, a ratio a / b > 0: low end floored, high end ceiled
+    ("series.py", "tl, th = tl * a // b, -(-th * a // b)",
+     "tl, th = -(-tl * a // b), -(-th * a // b)", KERNEL),
+    ("series.py", "tl, th = tl * a // b, -(-th * a // b)",
+     "tl, th = tl * a // b, th * a // b", KERNEL),
+    # the same for a ratio < 0, where the ends trade places
+    ("series.py", "tl, th = th * a // b, -(-tl * a // b)",
+     "tl, th = -(-th * a // b), -(-tl * a // b)", KERNEL),
+    ("series.py", "tl, th = th * a // b, -(-tl * a // b)",
+     "tl, th = th * a // b, tl * a // b", KERNEL),
+    # the final ends: the low one floored, the high one ceiled
+    ("series.py", "(lo - 2 * big) >> guard", "-(-(lo - 2 * big) >> guard)", KERNEL),
+    ("series.py", "-(-(hi + 2 * big) >> guard)", "(hi + 2 * big) >> guard", KERNEL),
+    # the tail and the stop test read the larger end of |term|, not the smaller
+    ("series.py", "ends = ((lo - 2 * big) >> guard, -(-(hi + 2 * big) >> guard))",
+     "ends = ((lo - 2 * small) >> guard, -(-(hi + 2 * small) >> guard))", KERNEL),
+    ("series.py", "decided = big <= limit and", "decided = small <= limit and", KERNEL),
+    # lambda_grid without the negative-coefficient swap
+    ("series.py", "lo, hi = lo + c * e_hi, hi + c * e_lo",
+     "lo, hi = lo + c * e_lo, hi + c * e_hi",
+     ["tests/test_series.py::test_lambda_matches_plain_interval_sum"]),
+    # evaluate_form without the c_0 < 0 swap
+    ("series.py", "if c0 < 0:\n        lo, hi = hi, lo", "if c0 < 0:\n        pass",
+     FORM_AT_OMEGA),
+    # Grid.__neg__ without swapping its ends
+    ("series.py", "return Grid(-self.hi, -self.lo, self.den)",
+     "return Grid(-self.lo, -self.hi, self.den)", FORM_AT_OMEGA),
+    # < for <= in vs_half
+    ("series.py", "if 2 * hi <= den and -2 * lo <= den:", "if 2 * hi < den and -2 * lo <= den:",
+     ["tests/test_measure.py::TestIntegerPaths::test_half_decision_matches_the_enclosure_test"]),
+]
+
+
+def killed(record) -> tuple[bool, str]:
+    """(whether the named tests fail on the mutant, a short reason)."""
+    file, old, new, tests = record
+    with tempfile.TemporaryDirectory() as tmp:
+        for sub in ("src", "tests"):
+            shutil.copytree(ROOT / sub, Path(tmp, sub),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        path = Path(tmp, "src", "qforms", file)
+        text = path.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"{file}: {old!r} occurs {text.count(old)} times, not once")
+        path.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp, "src")))
+        env.pop("QFORMS_PRECISION_CAP", None)
+        where = subprocess.run(
+            [sys.executable, "-c", "import qforms; print(qforms.__file__)"],
+            cwd=tmp, env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        if not where.startswith(tmp):
+            raise SystemExit(f"the child imported qforms from {where}, not the mutated copy")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                cwd=tmp, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return True, f"timed out after {TIMEOUT_S} s"
+        summary = (proc.stdout.strip().splitlines() or ["no output"])[-1]
+        return proc.returncode != 0, summary
+
+
+def main(argv: list[str]) -> int:
+    chosen = [int(a) for a in argv] or range(len(MUTANTS))
+    survivors = []
+    for i in chosen:
+        started = time.perf_counter()
+        dead, summary = killed(MUTANTS[i])
+        file, old, new, _ = MUTANTS[i]
+        verdict = "killed" if dead else "SURVIVED"
+        print(f"[{i}] {verdict} in {time.perf_counter() - started:.0f} s: {file}: "
+              f"{old!r} -> {new!r} ({summary})", flush=True)
+        if not dead:
+            survivors.append(i)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed; survivors: {survivors}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -26,7 +26,7 @@ from qforms import (
     vl_form,
     w_form,
 )
-from qforms.series import evaluate_form, grid_enclosure
+from qforms.series import evaluate_form
 from qforms.util import PrecisionPolicy
 from qforms.cli import main as cli_main
 
@@ -81,7 +81,7 @@ def test_criterion_04_smallness(fix_a):
     assert fitted_c <= 10, f"fitted c = {float(fitted_c):.3f}"
     # spot value |v_(1,2)(omega)| for omega = (-f(1), 1)
     omega0 = omega_from_vector(fix_a, [1], 256)
-    spot = grid_enclosure(evaluate_form(vl_form(fix_a, 1, 2), [1], omega0)).abs()
+    spot = evaluate_form(vl_form(fix_a, 1, 2), [1], omega0).enclosure().abs()
     oracle = abs(F(23, 2) - 7 * oracle_f_sigma(fix_a, 1, 0, 0))
     assert spot.lo - F(1, 1 << 200) <= oracle <= spot.hi + F(1, 1 << 200)
     assert F("0.008572") <= spot.midpoint <= F("0.008573")

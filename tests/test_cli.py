@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import subprocess_env
+from conftest import oracle_f_sigma, subprocess_env
+from qforms import Grid, validate_spec
 from qforms.cli import EXIT_FAIL, EXIT_PASS, EXIT_UNDECIDED, EXIT_USAGE, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -108,6 +109,36 @@ def test_certify_not_applicable_exits_1(capsys, tmp_path):
     code, report = run_cli(capsys, "certify", "--A", "0,1", spec)
     assert code == EXIT_FAIL
     assert report["payload"]["error"]["type"] == "NotApplicable"
+
+
+def test_certify_with_every_attempt_decided_exits_1(capsys, tmp_path):
+    # l = 1, 2 from the pinned 1: all four forms decide |w(omega)| > 1/2
+    spec = write_spec(tmp_path, caps={"precision_cap": 16384, "retry_cap": 1})
+    code, report = run_cli(capsys, "certify", "--A", "0,1000000", "--l-override", "1", spec)
+    assert code == EXIT_FAIL
+    assert report["payload"]["error"]["type"] == "RetryCapExceeded"
+
+
+def test_certify_undecided_at_the_cap_exits_2(capsys, tmp_path, monkeypatch):
+    # a planted Grid.vs_half that never decides: each attempt ends at the cap
+    monkeypatch.setattr(Grid, "vs_half", lambda self: 0)
+    spec = write_spec(tmp_path, precision_bits=16, caps={"precision_cap": 64, "retry_cap": 1})
+    code, report = run_cli(capsys, "certify", "--A=-23,14", spec)
+    assert code == EXIT_UNDECIDED
+    assert report["verdict"] == "undecided"
+    assert report["payload"]["error"]["type"] == "PrecisionCapExceeded"
+
+
+def test_certify_past_its_height_reach_exits_2(capsys, tmp_path):
+    # FIX-A, A_1 = 10^2000 and A_0 the nearest integer to -A_1 f(1) (the
+    # oracle's partial sum is off by less than 2^-9000): all 18 attempts,
+    # l = 78..86, are still undecided at the 16,384-bit cap
+    A1 = 10 ** 2000
+    A0 = round(-A1 * oracle_f_sigma(validate_spec(2, 1, [0, 1], [(1, 1)]), 1, 0, 0, terms=140))
+    code, report = run_cli(capsys, "certify", f"--A={A0},{A1}", write_spec(tmp_path))
+    assert code == EXIT_UNDECIDED
+    assert report["payload"]["error"]["type"] == "PrecisionCapExceeded"
+    assert "undecided at 16384 bits" in report["payload"]["error"]["message"]
 
 
 def test_scan_not_applicable_exits_1(capsys, tmp_path):

@@ -7,7 +7,8 @@ enclosures stay undecided, climb rung by rung or stop at the cap:
 
   * bounds_report, whose undecided rows are followed by decided ones;
   * nonvanishing_scan on rest coefficients, omega_0 from the series values;
-  * certify_lower_bound, including RetryCapExceeded.attempts with "cap";
+  * certify_lower_bound, including the attempts of PrecisionCapExceeded,
+    all "cap", and of RetryCapExceeded;
   * exponent_scan, including PrecisionCapExceeded from the straddle case.
 
 Each result (or exception type, message and attempts) is hashed in a fixed
@@ -28,7 +29,7 @@ from qforms import (
     nonvanishing_scan,
 )
 
-DIGEST = "de42ca25e6e178d2af82b826de7aee257c1c72634e484a0db6b0b53815daae5c"
+DIGEST = "2290b82c9627e90a4cd5513a59a6d685aebd48d38188a70c610ecc6899ae00ba"
 
 CAPS = [(4, 4), (4, 16), (8, 64), (16, 16), (32, 128), (64, 256), (128, 512), (512, 1024)]
 REST = {"A": [F(1, 2)], "B": [F(-3, 4)], "C": [F(1, 2), F(-2)],

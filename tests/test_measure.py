@@ -7,7 +7,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_f_sigma
@@ -26,8 +26,7 @@ from qforms import (
 from qforms import measure
 from qforms.enclosure import Enclosure, log_enclosure
 from qforms.forms import LinearForm, evaluate_exact, w_form
-from qforms.measure import _vs_half
-from qforms.series import evaluate_form, grid_enclosure, lambda_grid, omega_from_vector
+from qforms.series import Grid, evaluate_form, lambda_grid, omega_from_vector
 
 
 class TestChooseParameters:
@@ -117,16 +116,25 @@ class TestCertify:
             form = w_form(fix_a, 1, n)
             w, bits = PrecisionPolicy().refine(
                 lambda b: evaluate_form(form, A[1:], omega_from_vector(fix_a, A[1:], b)),
-                _vs_half,
+                Grid.vs_half,
             )
-            assert bits is not None and _vs_half(w) > 0
-            mag = grid_enclosure(w).abs()
+            assert bits is not None and w.vs_half() > 0
+            mag = w.enclosure().abs()
             expected.append({"l": 1, "n": n, "w_omega": f"[{mag.lo}, {mag.hi}]"})
         assert exc.value.attempts == expected
         # the same strings as before the attempts were formatted lazily
         assert hashlib.sha256(json.dumps(exc.value.attempts).encode()).hexdigest() == (
             "416bb05f49f9b8dba7e002d906d10ff7910eb1666789c81f45e3e5ea06c54377"
         )
+
+    def test_attempts_undecided_at_the_cap_raise_precision_cap_exceeded(self, fix_a):
+        from qforms import PrecisionCapExceeded
+
+        # at a 4-bit cap no rung decides |w(omega)| for (-23, 14): the
+        # error says undecided and carries the attempts, all at the cap
+        with pytest.raises(PrecisionCapExceeded, match="undecided at 4 bits") as exc:
+            certify_lower_bound(fix_a, (-23, 14), policy=PrecisionPolicy(4, 4), retry_cap=1)
+        assert [a["w_omega"] for a in exc.value.attempts] == ["cap"] * 4
 
     def test_soundness_small_grid(self, fix_b):
         policy = PrecisionPolicy(256)
@@ -339,12 +347,14 @@ class TestIntegerPaths:
         old = E - Enclosure(F(t_lo, t_den), F(t_hi, t_den)) * c0
         lo, hi, den = w
         assert Enclosure(F(lo, den), F(hi, den)) == old
-        assert _vs_half(w) == _old_vs_half(old)
+        assert w.vs_half() == _old_vs_half(old)
 
     @given(den=st.integers(1, 8), lo=st.integers(-24, 24), width=st.integers(0, 24))
+    @example(den=2, lo=0, width=1)  # |x| = 1/2 at the high end: decided <= 1/2
+    @example(den=2, lo=-1, width=0)  # and at the low end
     def test_half_decision_matches_the_enclosure_test(self, den, lo, width):
-        w = (lo, lo + width, den)
-        assert _vs_half(w) == _old_vs_half(Enclosure(F(lo, den), F(lo + width, den)))
+        w = Grid(lo, lo + width, den)
+        assert w.vs_half() == _old_vs_half(Enclosure(F(lo, den), F(lo + width, den)))
 
 
 class TestScanBound:

@@ -1,23 +1,28 @@
 """Series enclosures, lambda combinations, omega evaluation, residuals."""
 
+import json
 import random
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    mpf_to_fraction,
     oracle_f_sigma,
     oracle_falling,
     oracle_p_eval,
     oracle_u_coeffs,
+    reference_series_enclosure,
     subprocess_env,
 )
 from qforms import (
+    Grid,
     evaluate_form,
     f_derivative_enclosure,
     functional_equation_residual,
@@ -27,10 +32,11 @@ from qforms import (
     value_table,
     vl_form,
 )
+from qforms import series
 from qforms.enclosure import Enclosure
-from qforms.errors import QFormsError
+from qforms.errors import PrecisionCapExceeded, QFormsError
 from qforms.forms import LinearForm, evaluate_exact, u_form, v_form, w_form
-from qforms.series import grid_enclosure, lambda_grid
+from qforms.series import _series_grid, lambda_grid
 
 TINY = F(1, 1 << 500)
 
@@ -81,31 +87,155 @@ class TestFDerivative:
             f_derivative_enclosure(fix_a, 2, 0, 0, 32)
 
 
+class TestKernel:
+    """The integer kernel against the Fraction loop it replaced,
+    conftest.reference_series_enclosure."""
+
+    @pytest.mark.parametrize("bits", [1, 8, 64, 256, 1024, 4096, 16384])
+    def test_equals_the_reference_on_every_fixture_slot(self, all_fixtures, bits):
+        for spec in all_fixtures.values():
+            for jks in spec.var_indices:
+                got = f_derivative_enclosure(spec, *jks, bits)
+                assert got == reference_series_enclosure(spec, *jks, bits), (spec, jks)
+
+    @pytest.mark.parametrize("bits", [1, 2, 7, 8, 64, 256])
+    def test_a_two_bit_first_guard_grows_to_the_same_ends(self, all_fixtures, bits):
+        # at 2 guard bits the first pass can rarely decide the stop test or
+        # the rounding, so the guard must grow; a decision taken on too wide
+        # an interval would show as a wrong end (FIX-A at p = 7 has a term
+        # exactly on the stop threshold). The fixtures step only by positive
+        # ratios. The signed specs, found by a random search, step by negative
+        # ones: the first catches a low end ceiled there, the other two a
+        # stop taken while the stop test is undecided
+        signed = [
+            validate_spec(3, 1, [F(-9, 7), F(8, 11), -2], [(F(1), 2)]),
+            validate_spec(4, 1, [F(-1, 5), F(-3, 4)], [(F(-5, 4), 2)]),
+            validate_spec(8, 3, [0, 0, F(3, 4)], [(F(-3, 2), 1)]),
+        ]
+        for spec in [*all_fixtures.values(), *signed]:
+            for jks in spec.var_indices:
+                got = _series_grid(spec, *jks, bits, guard=2).enclosure()
+                assert got == reference_series_enclosure(spec, *jks, bits), (spec, jks)
+
+    def test_an_exact_end_on_the_grid_is_taken_one_step_outward(self):
+        # the exact lower end is -1/8, a point of the grid 2^-3 itself: no
+        # guard decides its floor, so the kernel takes the step below
+        spec = validate_spec(4, 1, [-8, -1], [(F(3), 3)])
+        ref = reference_series_enclosure(spec, 1, 0, 1, 1)
+        got = f_derivative_enclosure(spec, 1, 0, 1, 1)
+        assert (ref.lo, got.lo) == (F(-1, 8), F(-2, 8)) and got.hi == ref.hi
+
+    def test_a_term_on_the_stop_threshold_ends_the_sum(self):
+        # term 2 of f'(3/2) is -1/16, so 4 |term| meets the p = 1 threshold
+        # 2^-2 with equality: the sum stops there, as the reference does
+        spec = validate_spec(-2, 1, [F(-4, 3), F(7, 3)], [(F(3, 2), 2)])
+        got = f_derivative_enclosure(spec, 1, 0, 1, 1)
+        assert got == reference_series_enclosure(spec, 1, 0, 1, 1) == Enclosure(F(-3, 8), F(0))
+
+    def test_the_term_budget_counts_terms_to_the_regime_start(self, monkeypatch):
+        # q = 100/99, P = 100 + z: k* = 528, so the tail bound applies from n = 527
+        spec = validate_spec(100, 99, [100, 1], [(F(1), 1)])
+        monkeypatch.setattr(series, "_MAX_SERIES_TERMS", 526)
+        with pytest.raises(PrecisionCapExceeded, match="did not localize"):
+            f_derivative_enclosure(spec, 1, 0, 0, 8)
+        monkeypatch.setattr(series, "_MAX_SERIES_TERMS", 527)
+        f_derivative_enclosure(spec, 1, 0, 0, 8)
+
+    def test_a_regime_past_the_term_budget_is_refused_before_summing(self):
+        # q = 1001/1000, P = z / 10^700: the regime starts near n = 1.6 million
+        spec = validate_spec(1001, 1000, [0, F(1, 10 ** 700)], [(F(1), 1)])
+        with pytest.raises(PrecisionCapExceeded, match="did not localize"):
+            f_derivative_enclosure(spec, 1, 0, 0, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.fractions(-12, 12, max_denominator=7).filter(lambda q: abs(q) > 1),
+    lower=st.lists(st.fractions(-9, 9, max_denominator=12), max_size=2),
+    lead=st.fractions(-9, 9, max_denominator=12).filter(bool),
+    points=st.lists(
+        st.tuples(st.fractions(-9, 9, max_denominator=9).filter(bool), st.integers(1, 3)),
+        min_size=1, max_size=2,
+    ),
+    bits=st.sampled_from((1, 2, 3, 8, 64)),
+    slot=st.integers(0, 17),
+)
+@example(q=F(4), lower=[F(-8)], lead=F(-1), points=[(F(3), 3)], bits=1, slot=1)
+def test_kernel_contains_the_reference_within_one_step(q, lower, lead, points, bits, slot):
+    # d <= 3 and s_j <= 3; an end lies outside the reference's only when the
+    # exact end is a point of the grid, and then by one step
+    try:
+        spec = validate_spec(q.numerator, q.denominator, lower + [lead], points)
+    except QFormsError:
+        assume(False)
+    jks = spec.var_indices[slot % len(spec.var_indices)]
+    got = f_derivative_enclosure(spec, *jks, bits)
+    ref = reference_series_enclosure(spec, *jks, bits)
+    step = F(1, 1 << (bits + 2))
+    assert got.lo <= ref.lo <= got.lo + step and got.hi - step <= ref.hi <= got.hi
+
+
+NEAR_ONE = [["100", "1"], ["100", "1/100000000000000000000"]]  # k* = 528 and 5110
+
+
+class TestNearUnitQ:
+    """q = 100/99, alpha = 1: hundreds or thousands of terms precede the
+    tail bound; summing them as exact Fractions took minutes."""
+
+    @pytest.mark.parametrize("P", NEAR_ONE)
+    @pytest.mark.parametrize("argv", [
+        ["nonvanish", "--l0", "0", "--n0", "0", "--omega-from-f", "1"], ["bounds"]])
+    def test_cli_runs_finish(self, tmp_path, P, argv):
+        path = tmp_path / "near_one.json"
+        path.write_text(json.dumps(
+            {"q": {"num": "100", "den": "99"}, "P": P, "points": [{"alpha": "1", "s": 1}]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qforms.cli", *argv, str(path)],
+            capture_output=True, text=True, env=subprocess_env(), timeout=30,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize("P", NEAR_ONE)
+    def test_value_contains_mpmath(self, P):
+        spec = validate_spec(100, 99, P, [(F(1), 1)])
+        enc = f_derivative_enclosure(spec, 1, 0, 0, 256)
+        # f(1) = sum_n 1 / prod_{i<=n} (p_0 + p_1 q^i); each factor exceeds
+        # 100, so 300 terms leave a tail below 100^-300
+        with mpmath.workprec(512):
+            q = mpmath.mpf(100) / 99
+            p0, p1 = (mpmath.mpf(F(c).numerator) / F(c).denominator for c in P)
+            total = term = mpmath.mpf(1)
+            for n in range(1, 301):
+                term /= p0 + p1 * q ** n
+                total += term
+            value = mpf_to_fraction(total)
+        slack = F(1, 1 << 500)
+        assert enc.width <= F(1, 1 << 256)
+        assert enc.lo - slack <= value <= enc.hi + slack
+
+
 class TestValueTable:
     def test_covers_all_slots(self, fix_d):
         table = value_table(fix_d, 64)
-        assert set(table) == set(fix_d.var_indices)
-        assert len(table) == fix_d.d * fix_d.S
-        for enc in table.values():
-            assert enc.width <= F(1, 1 << 64)
+        assert len(table) == len(fix_d.var_indices) == fix_d.d * fix_d.S
+        for grid in table:
+            assert isinstance(grid, Grid) and grid.den == 1 << 66
+            assert grid.enclosure().width <= F(1, 1 << 64)
 
     def test_cached_identity(self, fix_a):
         assert value_table(fix_a, 64) is value_table(fix_a, 64)
 
     @pytest.mark.parametrize("bits", [8, 64, 256, 2048])
     def test_stored_grid_integers_are_the_table_ends(self, all_fixtures, bits):
-        # lambda_grid reads one stored integer per end; that is sound because
-        # every end lies on the 2^-w grid, checked here, since src/ keeps no
-        # assert for it (python -O would strip one)
-        w = bits + 2
+        # the memo entry is the tuple value_table returns, one Grid over
+        # 2^(bits + 2) per slot in var_indices order, with the ends of
+        # f_derivative_enclosure for that slot
         for spec in all_fixtures.values():
             table = value_table(spec, bits)
-            stored, grid = spec.value_tables[bits]
-            assert stored is table and len(grid) == len(spec.var_indices)
-            for jks, pair in zip(spec.var_indices, grid):
-                lo, hi = table[jks].lo * (1 << w), table[jks].hi * (1 << w)
-                assert lo.denominator == 1 and hi.denominator == 1
-                assert pair == (lo, hi)
+            assert spec.value_tables[bits] is table and len(table) == len(spec.var_indices)
+            for jks, grid in zip(spec.var_indices, table):
+                assert grid.den == 1 << (bits + 2)
+                assert grid.enclosure() == f_derivative_enclosure(spec, *jks, bits)
 
 
 class TestLambda:
@@ -158,11 +288,9 @@ class TestLambda:
 
 def plain_lambda(spec, A, bits) -> tuple[F, F]:
     """A_0 + sum A_i table_i in plain Fraction interval arithmetic."""
-    table = value_table(spec, bits)
     lo = hi = F(A[0])
-    for c, jks in zip(A[1:], spec.var_indices):
-        e = table[jks]
-        ends = (e.lo * c, e.hi * c)
+    for c, e in zip(A[1:], value_table(spec, bits)):
+        ends = (F(e.lo, e.den) * c, F(e.hi, e.den) * c)
         lo, hi = lo + min(ends), hi + max(ends)
     return lo, hi
 
@@ -192,20 +320,20 @@ def test_lambda_matches_plain_interval_sum(all_fixtures, data):
 class TestEvaluateForm:
     def test_spot_value(self, fix_a):
         omega0 = omega_from_vector(fix_a, [1], 128)
-        val = grid_enclosure(evaluate_form(vl_form(fix_a, 1, 2), [1], omega0))
+        val = evaluate_form(vl_form(fix_a, 1, 2), [1], omega0).enclosure()
         oracle = F(23, 2) - 7 * oracle_f_sigma(fix_a, 1, 0, 0)
         assert val.lo - TINY <= oracle <= val.hi + TINY
         assert F("0.008572") <= val.midpoint <= F("0.008573")
 
     def test_zero_omega(self, fix_a):
         omega0 = omega_from_vector(fix_a, [0], 32)
-        val = grid_enclosure(evaluate_form(vl_form(fix_a, 1, 2), [0], omega0))
+        val = evaluate_form(vl_form(fix_a, 1, 2), [0], omega0).enclosure()
         assert (val.lo, val.hi) == (0, 0)
 
     def test_x0_free_form_is_exact(self, fix_a):
         form = LinearForm((0, 5), 1)
         # omega_0 in [-10, 10], over the denominator 3 of the rest coefficient
-        val = grid_enclosure(evaluate_form(form, (F(2, 3),), (-30, 30, 3)))
+        val = evaluate_form(form, (F(2, 3),), Grid(-30, 30, 3)).enclosure()
         assert (val.lo, val.hi) == (F(10, 3), F(10, 3))
 
     def test_length_mismatch(self, fix_a):

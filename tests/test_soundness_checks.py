@@ -90,3 +90,20 @@ def test_every_identity_check_reads_the_spec():
     }
     assert firsts, "no _check_* functions found in verifier.py"
     assert {name: arg for name, arg in firsts.items() if arg != "spec"} == {}
+
+
+def test_every_mutant_record_applies_once_and_names_existing_tests():
+    # tests/mutants.py plants each fault by one text substitution; a record
+    # whose old text moved or multiplied, or whose tests were renamed, would
+    # silently stop guarding anything
+    from mutants import MUTANTS
+
+    tests_dir = SRC.parent / "tests"
+    for file, old, new, test_ids in MUTANTS:
+        assert old != new and (SRC / "qforms" / file).read_text().count(old) == 1, (file, old)
+        for test_id in test_ids:
+            path, *names = test_id.split("::")
+            text = (SRC.parent / path).read_text()
+            assert (SRC.parent / path).parent == tests_dir, test_id
+            for name in names:
+                assert f"def {name}(" in text or f"class {name}" in text, test_id
