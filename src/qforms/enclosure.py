@@ -28,7 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-Rational = Fraction
 ScalarLike = Union[Fraction, int]
 
 

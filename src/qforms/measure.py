@@ -19,6 +19,7 @@ observed exponent -log|Lambda| / log H against mu.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -219,28 +220,12 @@ MAX_SCAN_VECTORS = 200_000
 
 
 def _shell_vectors(dim: int, H: int):
-    """All integer vectors of given dim with max |entry| = H, lexicographic."""
-    if dim == 1:
-        yield (-H,)
-        yield (H,)
-        return
-    span = range(-H, H + 1)
-    for first in span:
-        if abs(first) == H:
-            for tail in _box_vectors(dim - 1, H):
-                yield (first,) + tail
-        else:
-            for tail in _shell_vectors(dim - 1, H):
-                yield (first,) + tail
-
-
-def _box_vectors(dim: int, H: int):
-    if dim == 0:
-        yield ()
-        return
-    for first in range(-H, H + 1):
-        for tail in _box_vectors(dim - 1, H):
-            yield (first,) + tail
+    """All integer vectors of given dim with max |entry| = H, each once: smaller
+    entries before the first of size H, any after it. The order does not matter
+    to the scan, whose key (upper end of |Lambda|, A) orders distinct A totally."""
+    inner, box = range(1 - H, H), range(-H, H + 1)
+    for i in range(dim):
+        yield from itertools.product(*[inner] * i, (-H, H), *[box] * (dim - 1 - i))
 
 
 def exponent_scan(
@@ -279,16 +264,17 @@ def exponent_scan(
             )
         heights = range(2, H_max + 1)
         vectors = (2 * H_max + 1) ** dim - 3 ** dim
+        shell = functools.partial(_shell_vectors, dim)
     elif strategy == "random":
         if sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        heights = []
-        h = 2
+        heights, h = [], 2
         while h < H_max:
             heights.append(h)
             h = max(h + 1, h * 3 // 2)
         heights.append(H_max)
         vectors = sample_count * len(heights)
+        shell = functools.partial(_random_shell, seed, dim, sample_count)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     if vectors > MAX_SCAN_VECTORS:
@@ -300,49 +286,39 @@ def exponent_scan(
     bits = min(precision_bits, precision_cap)
     w = bits + 2  # lambda_grid's denominator for an integer A is 2^w
     mu_hi = params.mu.hi
-
-    def scan_height(H: int) -> tuple[ScanRow, Fraction]:
-        """The row at height H and its fitted constant (exponent - mu) sqrt(ln H)."""
-        if strategy == "exhaustive":
-            shell = _shell_vectors(dim, H)
-        else:
-            rng = random.Random(seed * 1_000_003 + H)
-            shell = _random_shell(rng, dim, H, sample_count)
+    rows, fitted_C = [], Fraction(0)  # fitted_C: max of (exponent - mu) sqrt(ln H)
+    for H in heights:
         best = None
-        for rest in shell:
+        for rest in shell(H):
             lo, hi, _ = lambda_grid(spec, (0,) + rest, bits)
             # t = sum A_rest f lies in [lo, hi] / 2^w. Only the integers next to
-            # -t can minimize |A_0 + t|; with s = A_0 2^w, |A_0 + t| lies in
-            # [max(lo + s, -hi - s, 0), max(-lo - s, hi + s)] / 2^w
+            # -t can minimize |A_0 + t|; with s = A_0 2^w, A_0 + t lies in
+            # [lo + s, hi + s] / 2^w, and the key holds the upper end of |A_0 + t|
             for a0 in (-hi >> w, -(hi >> w), -lo >> w, -(lo >> w)):
                 s = a0 << w
                 key = (max(-lo - s, hi + s), (a0,) + rest)
                 if best is None or key < best:
-                    best, best_lo = key, max(lo + s, -hi - s, 0)
+                    best, lam = key, Grid(lo + s, hi + s, 1 << w)
         if best is None:
             raise AssertionError(f"empty height shell at H = {H}")
-        lam_hi, best_A = best
-        lam = Enclosure(Fraction(best_lo, 1 << w), Fraction(lam_hi, 1 << w))
-        if not lam.excludes_zero():
-            lam = _refined_lambda_abs(spec, best_A, policy)
-        log_lam = log_of_enclosure(lam)
+        best_A = best[1]
+        lam = lam if lam.lo > 0 else -lam  # |A_0 + t| on the grid, unless it straddles 0
+        lam = lam.enclosure() if lam.excludes_zero() else _refined_lambda_abs(spec, best_A, policy)
         log_H = log_enclosure(H, 48)
-        exponent = -log_lam / log_H
+        exponent = -log_of_enclosure(lam) / log_H
         slack = exponent.hi - mu_hi
         root = sqrt_enclosure(log_H.hi, 48)
-        return ScanRow(H, best_A, lam, exponent), slack * (root.hi if slack >= 0 else root.lo)
-
-    scanned = [scan_height(H) for H in heights]
-    rows = [row for row, _ in scanned]
+        fitted_C = max(fitted_C, slack * (root.hi if slack >= 0 else root.lo))
+        rows.append(ScanRow(H, best_A, lam, exponent))
     max_row = max(rows, key=lambda r: (r.empirical_exponent.hi, r.H))
-    fitted_C = max(Fraction(0), *(c_row for _, c_row in scanned))
     return ExponentScanReport(
         tuple(rows), params.mu, max_row.empirical_exponent, fitted_C
     )
 
 
-def _random_shell(rng: random.Random, dim: int, H: int, count: int):
+def _random_shell(seed: int, dim: int, count: int, H: int):
     """count vectors with entries in [-H, H], one entry (chosen at random) set to +-H."""
+    rng = random.Random(seed * 1_000_003 + H)
     for _ in range(count):
         vec = [rng.randint(-H, H) for _ in range(dim)]
         vec[rng.randrange(dim)] = rng.choice((-H, H))

@@ -46,17 +46,17 @@ class PrecisionPolicy:
         return value, None
 
 
-def random_rational(rng: random.Random, max_abs: int = 100) -> Fraction:
-    """Seeded random rational with |numerator|, denominator <= max_abs."""
-    return Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_abs))
+def random_rational(rng: random.Random) -> Fraction:
+    """Seeded random rational with |numerator|, denominator <= 100."""
+    return Fraction(rng.randint(-100, 100), rng.randint(1, 100))
 
 
 def random_rational_vector(
-    rng: random.Random, length: int, max_abs: int = 100, nonzero: bool = False
+    rng: random.Random, length: int, nonzero: bool = False
 ) -> tuple[Fraction, ...]:
+    """length random_rational entries (|numerator|, denominator <= 100), not all 0 if nonzero."""
     while True:
-        vec = tuple(random_rational(rng, max_abs) for _ in range(length))
+        vec = tuple(random_rational(rng) for _ in range(length))
         if nonzero and all(c == 0 for c in vec):
             continue
         return vec
-

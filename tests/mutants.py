@@ -68,6 +68,12 @@ MUTANTS = [
     # < for <= in vs_half
     ("series.py", "if 2 * hi <= den and -2 * lo <= den:", "if 2 * hi < den and -2 * lo <= den:",
      ["tests/test_measure.py::TestIntegerPaths::test_half_decision_matches_the_enclosure_test"]),
+    # the scan's key: the upper end of |A_0 + t| is max(-lo - s, hi + s)
+    ("measure.py", "key = (max(-lo - s, hi + s), (a0,) + rest)",
+     "key = (max(-lo - s, hi - s), (a0,) + rest)", ["tests/test_measure.py::TestExponentScan"]),
+    # the best row's A_0 + t is [lo + s, hi + s] / 2^w, shifted by +s, not -s
+    ("measure.py", "best, lam = key, Grid(lo + s, hi + s, 1 << w)",
+     "best, lam = key, Grid(lo - s, hi - s, 1 << w)", ["tests/test_measure.py::TestExponentScan"]),
 ]
 
 

@@ -219,6 +219,34 @@ class TestExponentScan:
             "6ce8cb28568b4e5af5004c53f5f002c393ac375e5554879e67726108a503ec01"
         )
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("H", [1, 2, 3, 4, 5])
+    def test_shell_is_the_box_filtered_to_height_H(self, dim, H):
+        box = [()]
+        for _ in range(dim):
+            box = [v + (a,) for v in box for a in range(-H, H + 1)]
+        shell = list(measure._shell_vectors(dim, H))
+        assert len(shell) == len(set(shell))
+        assert sorted(shell) == [v for v in box if max(abs(a) for a in v) == H]
+
+    def test_rows_do_not_depend_on_the_shell_order(self, fix_a, fix_c, monkeypatch):
+        # the best row's key (upper end of |Lambda|, A) orders distinct A totally
+        runs = [(fix_a, 30), (fix_c, 10)]
+        forward = [exponent_scan(spec, h_max).to_json() for spec, h_max in runs]
+        shell = measure._shell_vectors
+        monkeypatch.setattr(measure, "_shell_vectors", lambda dim, H: list(shell(dim, H))[::-1])
+        assert [exponent_scan(spec, h_max).to_json() for spec, h_max in runs] == forward
+
+    def test_two_lambda_grid_calls_per_height(self, fix_a, monkeypatch):
+        # FIX-A's shell is (-H,), (H,): one lambda_grid call each, and none
+        # more for the row (only a straddling best is refined)
+        calls = []
+        grid = measure.lambda_grid
+        monkeypatch.setattr(measure, "lambda_grid", lambda *a: calls.append(a) or grid(*a))
+        report = exponent_scan(fix_a, 30, precision_bits=128)
+        assert len(report.rows) == 29
+        assert len(calls) == 58
+
 
 def _ceil_sqrt(x):
     """Smallest integer k >= 0 with k*k >= x (x >= 0)."""
