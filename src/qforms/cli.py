@@ -125,21 +125,11 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     The subcommand copies use SUPPRESS defaults so they never clobber a
     value parsed at the top level.
     """
-    defaults = {
-        "out": argparse.SUPPRESS if suppress else None,
-        "csv": argparse.SUPPRESS if suppress else None,
-        "threads": argparse.SUPPRESS if suppress else None,
-    }
+    default = argparse.SUPPRESS if suppress else None
+    parser.add_argument("--out", default=default, help="write the JSON report here (default stdout)")
+    parser.add_argument("--csv", default=default, help="CSV sidecar for grid reports (bounds, scan)")
     parser.add_argument(
-        "--out", default=defaults["out"],
-        help="write the JSON report here (default stdout)",
-    )
-    parser.add_argument(
-        "--csv", default=defaults["csv"],
-        help="CSV sidecar for grid reports (bounds, scan)",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=defaults["threads"],
+        "--threads", type=int, default=default,
         help="accepted for compatibility; has no effect (scans run serially)",
     )
 
@@ -156,25 +146,21 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p, suppress=True)
+        p.add_argument("specfile")
         return p
 
-    p = command("validate", "validate a spec file")
-    p.add_argument("specfile")
-
-    p = command("params", "gamma, S, eps0, M, mu, D, applicability")
-    p.add_argument("specfile")
+    command("validate", "validate a spec file")
+    command("params", "gamma, S, eps0, M, mu, D, applicability")
 
     p = command("forms", "print u_n, v_n, v_(l,n), w_(l,n) and heights")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("specfile")
 
     p = command("verify", "run the exact identity suite")
     p.add_argument("--n-max", type=int, default=100)
     p.add_argument("--l-max", type=int, default=None)
     p.add_argument("--series-n", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("specfile")
 
     p = command("bounds", "height growth and smallness report")
     p.add_argument("--l-list", default="1,2,3,4,5")
@@ -182,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=60)
     p.add_argument("--n-step", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("specfile")
 
     p = command("nonvanish", "non-vanishing window scan")
     p.add_argument("--l0", type=int, required=True)
@@ -192,19 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--omega-from-f",
         help="rest coefficients 'c1,...'; omega_0 taken from the series values",
     )
-    p.add_argument("specfile")
 
     p = command("certify", "certified lower bound for a vector A")
     p.add_argument("--A", required=True, help="integer vector 'a0,a1,...'; --A=-23,14 if a0 < 0")
     p.add_argument("--l-override", type=int, default=None)
-    p.add_argument("specfile")
 
     p = command("scan", "exponent scan over height classes")
     p.add_argument("--hmax", type=int, required=True)
     p.add_argument("--random", type=int, default=None, metavar="K",
                    help="random strategy with K samples per shell")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("specfile")
 
     return parser
 

@@ -6,8 +6,10 @@ ProblemSpec.var_indices; slot 0 holds the x_0 coefficient.
 A form is stored as integer numerators over one positive denominator that
 is not reduced against them: sum_i nums[i] x_i / den. Sums take one gcd of
 the two denominators, scaling multiplies numerators and denominator, and an
-evaluation is one integer dot product. Only `coeffs`, `x0` and
-`evaluate_exact` reduce, to the same Fractions a rational form would hold.
+evaluation is one integer dot product with the numerators that `over_lcm`
+gives a rational vector over its least common denominator, the package's
+one such reduction. Only `coeffs`, `x0` and `evaluate_exact` reduce, to the
+same Fractions a rational form would hold.
 
 v_n is kept over the known denominator D^n q2^(d n (n+1)/2), where the
 recurrence v_n = P(q^n) v_{n-1} + u_n runs on integers, taking the integer
@@ -30,6 +32,14 @@ from .errors import DomainViolation
 from .problem import ProblemSpec
 
 
+def over_lcm(values: Sequence) -> tuple[list[int], int]:
+    """(nums, den): the rationals values[i] = nums[i] / den over their least
+    common denominator den; an int passes through unconverted."""
+    vals = [v if isinstance(v, int) else Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
 @dataclass(frozen=True, eq=False)
 class LinearForm:
     """sum_i nums[i] x_i / den: integer nums, positive den, slot 0 = x_0."""
@@ -44,9 +54,8 @@ class LinearForm:
     @classmethod
     def of(cls, coeffs: Sequence) -> "LinearForm":
         """The form with these rational coefficients, over their least common denominator."""
-        fracs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in fracs))
-        return cls(tuple(c.numerator * (den // c.denominator) for c in fracs), den)
+        nums, den = over_lcm(coeffs)
+        return cls(tuple(nums), den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -80,16 +89,6 @@ class LinearForm:
     def scale(self, c) -> "LinearForm":
         c = Fraction(c)
         return LinearForm(tuple(a * c.numerator for a in self.nums), self.den * c.denominator)
-
-    def at(self, vector: Sequence) -> "LinearForm":
-        """The value at a rational vector (x_0 first), as a one-slot form
-        over an unreduced denominator: one integer dot product."""
-        if len(vector) != len(self.nums):
-            raise ValueError("vector length does not match the variable set")
-        vec = [Fraction(v) for v in vector]
-        b = math.lcm(*(v.denominator for v in vec))
-        dot = sum(a * (v.numerator * (b // v.denominator)) for a, v in zip(self.nums, vec))
-        return LinearForm((dot,), self.den * b)
 
 
 @dataclass(frozen=True)
@@ -219,8 +218,12 @@ def form_height(form: LinearForm) -> Fraction:
 
 
 def evaluate_exact(form: LinearForm, vector: Sequence) -> Fraction:
-    """Exact value of the form at a rational vector (x_0 first)."""
-    return form.at(vector).x0
+    """Exact value of the form at a rational vector (x_0 first): one integer
+    dot product over form.den times the vector's common denominator."""
+    if len(vector) != len(form.nums):
+        raise ValueError("vector length does not match the variable set")
+    nums, den = over_lcm(vector)
+    return Fraction(sum(a * v for a, v in zip(form.nums, nums)), form.den * den)
 
 
 def form_to_json(spec: ProblemSpec, form: LinearForm) -> dict:

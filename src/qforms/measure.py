@@ -9,8 +9,10 @@ the constrained omega vector satisfies |w_{l,n}(omega)| <= 1/2; then
 The decision runs on integers: w_{l,n} has integer coefficients (c_0, c_i),
 so w(A) = c_0 A_0 + sum_{i>=1} c_i A_i is exact, and series.evaluate_form
 gives w(omega) as a series.Grid, from the omega_0 = -sum_{i>=1} A_i f_i that
-omega_from_vector encloses once per rung, shared by every (l, n); Grid.vs_half
-compares its ends with +-den/2. The cross-check refines lambda_grid(A).
+omega_from_vector encloses at each rung the (l, n) climbs (its value table is
+memoized per rung on the spec, so a repeated rung costs one dot product);
+Grid.vs_half compares its ends with +-den/2. The cross-check refines
+lambda_grid(A).
 
 The exponent scan brute-forces small height classes and compares the
 observed exponent -log|Lambda| / log H against mu.
@@ -100,7 +102,7 @@ def _refined_lambda_abs(spec: ProblemSpec, A: Sequence[int], policy: PrecisionPo
     if bits is None:
         raise PrecisionCapExceeded(
             f"|Lambda(A)| for A = {tuple(A)} still straddles zero at {policy.cap_bits} bits")
-    return lam.enclosure().abs()
+    return (lam if lam.lo > 0 else -lam).enclosure()
 
 
 def certify_lower_bound(
@@ -133,8 +135,6 @@ def certify_lower_bound(
     H = max(max(abs(a) for a in rest), 2)
     l_start = choose_parameters(spec, params, H)[0] if l_override is None else l_override
 
-    # omega_0 = -sum_(i>=1) A_i f_i on each rung; later (l, n) restart at the same rungs
-    omega0 = functools.cache(lambda b: omega_from_vector(spec, rest, b))
     failed = []  # (l, n, the decided w(omega) grid or None at the cap)
     for l in range(l_start, l_start + retry_cap + 1):
         n0 = _n0_for(spec, params, l)
@@ -144,7 +144,8 @@ def certify_lower_bound(
             wA = c0 * a0 + sum(c * a for c, a in zip(cs, rest))
             if wA == 0:
                 continue
-            w, bits = policy.refine(lambda b: evaluate_form(form, rest, omega0(b)), Grid.vs_half)
+            w, bits = policy.refine(
+                lambda b: evaluate_form(form, rest, omega_from_vector(spec, rest, b)), Grid.vs_half)
             if bits is not None and w.vs_half() < 0:
                 if c0 == 0:
                     raise AssertionError("x0 coefficient vanished despite certification")

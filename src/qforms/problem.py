@@ -360,31 +360,30 @@ def measure_params(
     The strict inequality is decided through the product M*gamma: its
     enclosure either certifies hi < 1 (applicable) or lo >= 1
     (inapplicable); otherwise precision doubles up to the cap, and a tie
-    at the cap raises UndecidableAtCap rather than guessing.
+    at the cap raises UndecidableAtCap rather than guessing. The first
+    separating rung fixes gamma, M and precision_bits; from that rung on,
+    mu = (M - 1) / (1 - M*gamma) is refined to width 2^-precision_bits.
     """
-    target = Fraction(1, 1 << precision_bits)
-    pb = mu = None
-    for rung in PrecisionPolicy(precision_bits, precision_cap).ladder():
-        gamma_r, M_r = gamma_enclosure(spec, rung), m_enclosure(spec, rung)
-        prod = M_r * gamma_r
-        if pb is None:
-            if prod.lo < 1 <= prod.hi:
-                continue
-            # the first separating rung fixes gamma, M and precision_bits
-            pb, gamma, M = rung, gamma_r, M_r
-            if prod.lo >= 1:
-                break
-        # applicable: mu = (M - 1) / (1 - M*gamma) wherever the denominator
-        # is certified positive (always at pb), refined to the requested width
-        if prod.hi < 1:
-            mu = (M_r - 1) / (1 - prod)
-            if mu.width <= target:
-                break
+    def rung(bits: int) -> tuple[Enclosure, Enclosure, Enclosure]:
+        gamma_b, M_b = gamma_enclosure(spec, bits), m_enclosure(spec, bits)
+        return gamma_b, M_b, M_b * gamma_b
+
+    def mu_at(bits: int) -> Enclosure:
+        _, M_b, prod_b = rung(bits)
+        return (M_b - 1) / (1 - prod_b)
+
+    (gamma, M, prod), pb = PrecisionPolicy(precision_bits, precision_cap).refine(
+        rung, lambda r: not r[2].lo < 1 <= r[2].hi)
     if pb is None:
-        raise UndecidableAtCap(
-            f"gamma vs 1/M not separated at {rung} bits (M*gamma in "
-            f"[{prod.lo}, {prod.hi}])"
-        )
+        raise UndecidableAtCap(f"gamma vs 1/M not separated at {precision_cap} bits "
+                               f"(M*gamma in [{prod.lo}, {prod.hi}])")
+    mu = None
+    if prod.hi < 1:
+        # M*gamma < 1 at pb holds on every later rung: the enclosures nest across
+        # rungs (gamma's re-centred interval at a higher rung lies inside the
+        # lower rung's, and M's isqrt brackets nest), so their product does too
+        target = Fraction(1, 1 << precision_bits)
+        mu, _ = PrecisionPolicy(pb, precision_cap).refine(mu_at, lambda m: m.width <= target)
     a = (1 - M * gamma) * Fraction(1, spec.d) * spec.a_root
     return MeasureParams(
         S=spec.S,

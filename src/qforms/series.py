@@ -20,11 +20,12 @@ decides and which is taken one step outward.
 value_table keeps the dS values as Grids over 2^(p+2) in var_indices order,
 memoized per precision in spec.value_tables. lambda_grid forms
 A_0 + sum A_i f_i as one integer dot product over them, A scaled by the lcm
-den of its denominators: a positive coefficient adds c lo_i to the lower sum
-and c hi_i to the upper one, a negative one swaps the two. omega_from_vector
-negates lambda_grid of (0, rest), omega_0 = -sum rest_i f_i, and
-evaluate_form adds c_0 times the end of omega_0 that the sign of c_0 picks to
-the exact part sum c_i rest_i, over den times the form's own denominator.
+den of its denominators (forms.over_lcm): a positive coefficient adds c lo_i
+to the lower sum and c hi_i to the upper one, a negative one swaps the two.
+omega_from_vector negates lambda_grid of (0, rest), omega_0 = -sum rest_i f_i,
+and evaluate_form adds c_0 times the end of omega_0 that the sign of c_0 picks
+to the exact part sum c_i rest_i, over den times the form's own denominator;
+den must be a multiple of rest's common denominator, as omega_from_vector's is.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .enclosure import Enclosure, log_grid
 from .errors import PrecisionCapExceeded
-from .forms import LinearForm, falling_factorial, v_form
+from .forms import LinearForm, falling_factorial, over_lcm, v_form
 from .problem import ProblemSpec
 
 _MAX_SERIES_TERMS = 1_000_000
@@ -155,11 +156,9 @@ def lambda_grid(spec: ProblemSpec, A: Sequence, precision_bits: int) -> Grid:
         raise ValueError(f"A must have length {spec.n_vars}")
     table = value_table(spec, precision_bits)
     w = precision_bits + 2
-    A = [a if isinstance(a, int) else Fraction(a) for a in A]
-    den = math.lcm(*(a.denominator for a in A))
-    lo = hi = A[0].numerator * (den // A[0].denominator) << w
-    for a, (e_lo, e_hi, _) in zip(A[1:], table):
-        c = a.numerator * (den // a.denominator)
+    nums, den = over_lcm(A)
+    lo = hi = nums[0] << w
+    for c, (e_lo, e_hi, _) in zip(nums[1:], table):
         if c > 0:
             lo, hi = lo + c * e_lo, hi + c * e_hi
         elif c < 0:
@@ -182,15 +181,19 @@ def omega_from_vector(spec: ProblemSpec, rest: Sequence, precision_bits: int) ->
 
 def evaluate_form(form: LinearForm, rest: Sequence, omega0: Grid) -> Grid:
     """The form at (omega_0, rest) as a Grid over omega0.den * form.den, for omega_0
-    in the Grid omega0 from omega_from_vector; lo == hi when the x_0 slot is 0."""
+    in the Grid omega0 from omega_from_vector; lo == hi when the x_0 slot is 0.
+    omega0.den must be a multiple of rest's common denominator (ValueError)."""
     c0, *cs = form.nums
     if len(cs) != len(rest):
         raise ValueError(f"form has {len(cs)} rest slots, rest has length {len(rest)}")
     lo, hi, den = omega0
     if c0 < 0:
         lo, hi = hi, lo
-    L = math.lcm(*(r.denominator for r in rest))
-    e = sum(c * r.numerator * (L // r.denominator) for c, r in zip(cs, rest)) * (den // L)
+    nums, L = over_lcm(rest)
+    scale, off = divmod(den, L)
+    if off:
+        raise ValueError(f"omega0's denominator {den} is not a multiple of rest's, {L}")
+    e = sum(c * r for c, r in zip(cs, nums)) * scale
     return Grid(e + c0 * lo, e + c0 * hi, den * form.den)
 
 
@@ -219,10 +222,9 @@ def functional_equation_residual(
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    omega = LinearForm.of((omega0, *omega_rest))
-    if len(omega.nums) != spec.n_vars:
+    w, b = over_lcm((omega0, *omega_rest))
+    if len(w) != spec.n_vars:
         raise ValueError("vector length does not match the variable set")
-    w, b = omega.nums, omega.den
     D, d, q2 = spec.clearing_D, spec.d, spec.q_den
     steps = [spec.q_num ** nu * q2 ** (d - nu) for nu in range(d + 1)]
     terms = [(D * p).numerator for p in spec.P.coefficients]

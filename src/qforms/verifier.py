@@ -294,11 +294,9 @@ def bounds_report(
     undecided = 0
     for label, rest in variants:
         max_rest = max(abs(c) for c in rest)
-        log_max = (
-            Enclosure.zero()
-            if max_rest == 1
-            else log_enclosure(max_rest, 48) / q_log
-        )
+        # not redundant although log 1 = 0: near |q| = 1 the 48-bit q_log can straddle 0,
+        # and 0 / q_log would raise ZeroDivisionError before the series refuses the spec
+        log_max = Enclosure.zero() if max_rest == 1 else log_enclosure(max_rest, 48) / q_log
         # one climb per omega: a rung reached stays for the later pairs,
         # and the cap stays after an undecided row
         omega_at = functools.cache(lambda b: omega_from_vector(spec, rest, b))

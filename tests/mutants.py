@@ -62,6 +62,12 @@ MUTANTS = [
     # evaluate_form without the c_0 < 0 swap
     ("series.py", "if c0 < 0:\n        lo, hi = hi, lo", "if c0 < 0:\n        pass",
      FORM_AT_OMEGA),
+    # evaluate_form without the check that rest's common denominator divides omega0's
+    ("series.py", "if off:", "if False:",
+     ["tests/test_series.py::TestEvaluateForm::test_omega0_over_a_denominator_rest_does_not_divide"]),
+    # bounds_report dividing log 1 = 0 by a log|q| that may straddle 0
+    ("verifier.py", "Enclosure.zero() if max_rest == 1 else", "Enclosure.zero() if False else",
+     ["tests/test_cli.py::test_bounds_near_q_one_exits_2_without_a_traceback"]),
     # Grid.__neg__ without swapping its ends
     ("series.py", "return Grid(-self.hi, -self.lo, self.den)",
      "return Grid(-self.lo, -self.hi, self.den)", FORM_AT_OMEGA),

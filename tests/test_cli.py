@@ -245,6 +245,16 @@ def test_bounds_csv(capsys, tmp_path):
     assert heights == [(l, n) for l in "12" for n in "246"]
 
 
+def test_bounds_near_q_one_exits_2_without_a_traceback(tmp_path):
+    # q = (2^70 + 1) / 2^70: the 48-bit log|q| straddles 0, so a unit omega's
+    # log max|rest| = 0 must not be divided by it; the series then refuses the spec
+    spec = write_spec(tmp_path, q={"num": str(2 ** 70 + 1), "den": str(2 ** 70)})
+    proc = run_cli_process(spec, "bounds", "--l-list", "1", "--n-list", "2,3")
+    assert proc.returncode == EXIT_UNDECIDED, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["payload"]["error"]["type"] == "PrecisionCapExceeded"
+
+
 def test_validate_tiny_leading_coefficient_in_bounded_time(tmp_path):
     # q = 100/99 and p_1 = 10^-60: P(q^n) != 0 is decided without walking
     # n up to the dominance index (about 14,000 here)

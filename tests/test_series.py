@@ -336,6 +336,14 @@ class TestEvaluateForm:
         val = evaluate_form(form, (F(2, 3),), Grid(-30, 30, 3)).enclosure()
         assert (val.lo, val.hi) == (F(10, 3), F(10, 3))
 
+    def test_omega0_over_a_denominator_rest_does_not_divide(self):
+        # x_1 = 1/3 with omega_0 = 0 over 1: the value is 1, but flooring 1 // 3
+        # would scale the exact part to 0 and report [0, 0]
+        with pytest.raises(ValueError, match="not a multiple"):
+            evaluate_form(LinearForm((0, 3)), [F(1, 3)], Grid(0, 0, 1))
+        val = evaluate_form(LinearForm((0, 3)), [F(1, 3)], Grid(0, 0, 3)).enclosure()
+        assert (val.lo, val.hi) == (1, 1)
+
     def test_length_mismatch(self, fix_a):
         omega0 = omega_from_vector(fix_a, [1], 32)
         with pytest.raises(ValueError):

@@ -70,14 +70,14 @@ def _calls_by_function(path):
     return walk(ast.parse(path.read_text(), filename=str(path)), path.stem)
 
 
-def test_only_refine_and_measure_params_climb_the_ladder():
+def test_only_refine_climbs_the_ladder():
     callers = {
         scope
         for path in sorted((SRC / "qforms").rglob("*.py"))
         for scope, call in _calls_by_function(path)
         if isinstance(call.func, ast.Attribute) and call.func.attr == "ladder"
     }
-    assert callers == {"util.PrecisionPolicy.refine", "problem.measure_params"}
+    assert callers == {"util.PrecisionPolicy.refine"}
 
 
 def test_every_identity_check_reads_the_spec():
