@@ -24,7 +24,6 @@ from .errors import (
 )
 from .forms import (
     LinearForm,
-    OperatorPoly,
     form_height,
     operator_poly,
     u_form,
@@ -84,7 +83,6 @@ __all__ = [
     "MeasureParams",
     "NonvanishingVerdict",
     "NotApplicable",
-    "OperatorPoly",
     "PRootAtQPower",
     "PolynomialQ",
     "PrecisionCapExceeded",

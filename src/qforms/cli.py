@@ -207,23 +207,17 @@ def _dispatch(args, spec: ProblemSpec, precision_bits: int, caps: dict):
         }, "pass", None
 
     if args.command == "forms":
-        u = u_form(spec, args.n)
-        v = v_form(spec, args.n)
-        vl = vl_form(spec, args.l, args.n)
-        w = w_form(spec, args.l, args.n)
+        forms = {
+            "u": u_form(spec, args.n),
+            "v": v_form(spec, args.n),
+            "vl": vl_form(spec, args.l, args.n),
+            "w": w_form(spec, args.l, args.n),
+        }
         return {
             "l": args.l,
             "n": args.n,
-            "u": form_to_json(spec, u),
-            "v": form_to_json(spec, v),
-            "vl": form_to_json(spec, vl),
-            "w": form_to_json(spec, w),
-            "heights": {
-                "u": str(form_height(u)),
-                "v": str(form_height(v)),
-                "vl": str(form_height(vl)),
-                "w": str(form_height(w)),
-            },
+            **{name: form_to_json(spec, form) for name, form in forms.items()},
+            "heights": {name: str(form_height(form)) for name, form in forms.items()},
         }, "pass", None
 
     if args.command == "verify":

@@ -2,8 +2,8 @@
 
 All field operations on intervals with Fraction endpoints are exact, so no
 rounding is involved there; outward rounding enters only through the dyadic
-transcendental kernels (`log_enclosure`, `sqrt_enclosure`) and the explicit
-`outward_round` used to keep endpoint bit-sizes bounded.
+transcendental kernels (`log_enclosure`, `sqrt_enclosure`). No code in the
+package calls `Enclosure.outward_round`.
 
 The logarithm kernel is self-contained, deterministic and runs on
 integers only. x = a/b is reduced by shifts to m = x / 2^e in [1, 2), m is

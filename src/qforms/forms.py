@@ -91,20 +91,6 @@ class LinearForm:
         return LinearForm(tuple(a * c.numerator for a in self.nums), self.den * c.denominator)
 
 
-@dataclass(frozen=True)
-class OperatorPoly:
-    """Expansion of prod_{k=1..l} prod_j (1 - alpha_j q^(delta-k) B)^{s_j}
-    as a polynomial in the backward shift B."""
-
-    offset_delta: int
-    l: int
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
 def falling_factorial(n: int, sigma: int) -> int:
     """n (n-1) ... (n-sigma+1), i.e. sigma! * C(n, sigma); defined for all n in Z."""
     out = 1
@@ -165,8 +151,9 @@ def expand_shift_factors(factors: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def operator_poly(spec: ProblemSpec, l: int, delta: int = 0) -> OperatorPoly:
-    """Expanded product prod_{k=1..l} prod_j (1 - alpha_j q^(delta-k) B)^{s_j}."""
+def operator_poly(spec: ProblemSpec, l: int, delta: int = 0) -> tuple[Fraction, ...]:
+    """Coefficients of prod_{k=1..l} prod_j (1 - alpha_j q^(delta-k) B)^{s_j}
+    as a polynomial in the backward shift B, constant term first."""
     if l < 0:
         raise DomainViolation("operator order l must be >= 0")
     poly = spec.operator_polys.get((l, delta))
@@ -176,8 +163,7 @@ def operator_poly(spec: ProblemSpec, l: int, delta: int = 0) -> OperatorPoly:
             shift = spec.q ** (delta - k)
             for alpha, s in spec.points:
                 factors.extend([alpha * shift] * s)
-        poly = OperatorPoly(delta, l, expand_shift_factors(factors))
-        poly = spec.operator_polys.setdefault((l, delta), poly)
+        poly = spec.operator_polys.setdefault((l, delta), expand_shift_factors(factors))
     return poly
 
 
@@ -189,8 +175,8 @@ def vl_form(spec: ProblemSpec, l: int, n: int, delta: int = 0) -> LinearForm:
         raise DomainViolation(f"v_(l,n) requires n >= S*l = {spec.S * l}, got n = {n}")
     op = operator_poly(spec, l, delta)
     acc = v_form(spec, n)
-    for t in range(1, len(op.coeffs)):
-        c = op.coeffs[t]
+    for t in range(1, len(op)):
+        c = op[t]
         if c != 0:
             acc = acc + v_form(spec, n - t).scale(c)
     return acc

@@ -40,7 +40,7 @@ from .errors import (
 from .forms import w_form
 from .problem import MeasureParams, ProblemSpec, measure_params
 from .series import Grid, evaluate_form, lambda_grid, omega_from_vector
-from .util import DEFAULT_RETRY_CAP, PrecisionPolicy
+from .util import DEFAULT_PRECISION_CAP, DEFAULT_RETRY_CAP, PrecisionPolicy
 
 HALF = Fraction(1, 2)
 
@@ -63,7 +63,7 @@ def choose_parameters(
     if H < 2:
         raise ValueError("H must be at least 2")
     lo, hi, w = log_grid(H, 64)
-    ql, qh, a = spec.log_q1.lo, spec.log_q1.hi, params.a_midpoint
+    ql, qh, a = params.log_q1.lo, params.log_q1.hi, params.a_midpoint
     num = (lo * qh.denominator * ql.numerator + hi * ql.denominator * qh.numerator) * a.denominator
     den = ql.numerator * qh.numerator * a.numerator << (w + 1)
     l = math.isqrt(-(-num // den) - 1) + 1
@@ -236,7 +236,7 @@ def exponent_scan(
     sample_count: int = 64,
     seed: int = 0,
     precision_bits: int = 128,
-    precision_cap: int = PrecisionPolicy().cap_bits,
+    precision_cap: int = DEFAULT_PRECISION_CAP,
     threads: int = 1,
     params: Optional[MeasureParams] = None,
 ) -> ExponentScanReport:
@@ -285,21 +285,20 @@ def exponent_scan(
         )
     policy = PrecisionPolicy(precision_bits, precision_cap)
     bits = min(precision_bits, precision_cap)
-    w = bits + 2  # lambda_grid's denominator for an integer A is 2^w
     mu_hi = params.mu.hi
     rows, fitted_C = [], Fraction(0)  # fitted_C: max of (exponent - mu) sqrt(ln H)
     for H in heights:
         best = None
         for rest in shell(H):
-            lo, hi, _ = lambda_grid(spec, (0,) + rest, bits)
-            # t = sum A_rest f lies in [lo, hi] / 2^w. Only the integers next to
-            # -t can minimize |A_0 + t|; with s = A_0 2^w, A_0 + t lies in
-            # [lo + s, hi + s] / 2^w, and the key holds the upper end of |A_0 + t|
-            for a0 in (-hi >> w, -(hi >> w), -lo >> w, -(lo >> w)):
-                s = a0 << w
+            lo, hi, den = lambda_grid(spec, (0,) + rest, bits)
+            # t = sum A_rest f lies in [lo, hi] / den. Only the integers next to
+            # -t can minimize |A_0 + t|; with s = A_0 den, A_0 + t lies in
+            # [lo + s, hi + s] / den, and the key holds the upper end of |A_0 + t|
+            for a0 in (-hi // den, -(hi // den), -lo // den, -(lo // den)):
+                s = a0 * den
                 key = (max(-lo - s, hi + s), (a0,) + rest)
                 if best is None or key < best:
-                    best, lam = key, Grid(lo + s, hi + s, 1 << w)
+                    best, lam = key, Grid(lo + s, hi + s, den)
         if best is None:
             raise AssertionError(f"empty height shell at H = {H}")
         best_A = best[1]

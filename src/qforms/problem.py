@@ -8,6 +8,7 @@ through the interval log kernel used for gamma.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,18 +136,6 @@ class ProblemSpec:
                 dens.append(self.point_arg(j, k).denominator)
         return math.lcm(*dens)
 
-    @cached_property
-    def log_q1(self) -> Enclosure:
-        """log|q1| to 64 bits, the unit of choose_parameters' L."""
-        return log_enclosure(abs(self.q_num), 64)
-
-    @cached_property
-    def a_root(self) -> Enclosure:
-        """sqrt((dS)^2 + (1 - eps0) dS + eps0^2/4) to 96 bits, the spec's
-        factor of the a constant in MeasureParams.a_midpoint."""
-        ds = self.d * self.S
-        return sqrt_enclosure(ds * ds + (1 - self.eps0) * ds + Fraction(self.eps0 ** 2, 4), 96)
-
     # Memos of derived data. Each is filled and read by one module only and
     # lives exactly as long as this spec. An entry is a pure function of
     # (spec, key) published with one dict.setdefault, so concurrent callers
@@ -165,7 +154,7 @@ class ProblemSpec:
 
     @cached_property
     def operator_polys(self) -> dict:
-        """forms.operator_poly: (l, delta) -> the expanded shift polynomial."""
+        """forms.operator_poly: (l, delta) -> the shift polynomial's coefficients."""
         return {}
 
     @cached_property
@@ -311,10 +300,11 @@ def gamma_enclosure(spec: ProblemSpec, precision_bits: int) -> Enclosure:
 class MeasureParams:
     """The scalar quantities steering the measure machinery.
 
-    a_midpoint and n0_slope are the two constants of choose_parameters,
+    a_midpoint, n0_slope and log_q1 are the constants of choose_parameters,
     computed once by measure_params (the only constructor) and left out of
-    to_json: the midpoint of a = (1 - M gamma)/d * spec.a_root, and
-    (M - 1).hi / d, the slope of n0 in l.
+    to_json: the midpoint of a = (1 - M gamma)/d * sqrt((dS)^2 + (1 - eps0) dS
+    + eps0^2/4), the root to 96 bits; (M - 1).hi / d, the slope of n0 in l;
+    and log|q1| to 64 bits, the unit of L.
     """
 
     S: int
@@ -326,6 +316,7 @@ class MeasureParams:
     precision_bits: int
     a_midpoint: Fraction
     n0_slope: Fraction
+    log_q1: Enclosure
 
     def to_json(self) -> dict:
         return {
@@ -364,6 +355,7 @@ def measure_params(
     separating rung fixes gamma, M and precision_bits; from that rung on,
     mu = (M - 1) / (1 - M*gamma) is refined to width 2^-precision_bits.
     """
+    @functools.cache  # the mu climb starts at the separating rung
     def rung(bits: int) -> tuple[Enclosure, Enclosure, Enclosure]:
         gamma_b, M_b = gamma_enclosure(spec, bits), m_enclosure(spec, bits)
         return gamma_b, M_b, M_b * gamma_b
@@ -384,7 +376,9 @@ def measure_params(
         # lower rung's, and M's isqrt brackets nest), so their product does too
         target = Fraction(1, 1 << precision_bits)
         mu, _ = PrecisionPolicy(pb, precision_cap).refine(mu_at, lambda m: m.width <= target)
-    a = (1 - M * gamma) * Fraction(1, spec.d) * spec.a_root
+    ds = spec.d * spec.S
+    root = sqrt_enclosure(ds * ds + (1 - spec.eps0) * ds + Fraction(spec.eps0 ** 2, 4), 96)
+    a = (1 - M * gamma) * Fraction(1, spec.d) * root
     return MeasureParams(
         S=spec.S,
         eps0=spec.eps0,
@@ -395,4 +389,5 @@ def measure_params(
         precision_bits=pb,
         a_midpoint=a.midpoint,
         n0_slope=(M - 1).hi / spec.d,
+        log_q1=log_enclosure(abs(spec.q_num), 64),
     )

@@ -28,7 +28,7 @@ from .forms import (
 )
 from .problem import ProblemSpec
 from .series import Grid, evaluate_form, functional_equation_residual, omega_from_vector
-from .util import PrecisionPolicy, random_rational, random_rational_vector
+from .util import DEFAULT_PRECISION_CAP, PrecisionPolicy, random_rational, random_rational_vector
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def bounds_report(
     n_list: Sequence[int],
     precision_bits: int = 512,
     rng_seed: int = 0,
-    precision_cap: int = PrecisionPolicy().cap_bits,
+    precision_cap: int = DEFAULT_PRECISION_CAP,
 ) -> BoundsReport:
     """Exact heights against d n^2/2 + S l^2/2, and |v_{l,n}(omega)| for
     omega built from true series values against the smallness shape

@@ -77,9 +77,16 @@ MUTANTS = [
     # the scan's key: the upper end of |A_0 + t| is max(-lo - s, hi + s)
     ("measure.py", "key = (max(-lo - s, hi + s), (a0,) + rest)",
      "key = (max(-lo - s, hi - s), (a0,) + rest)", ["tests/test_measure.py::TestExponentScan"]),
-    # the best row's A_0 + t is [lo + s, hi + s] / 2^w, shifted by +s, not -s
-    ("measure.py", "best, lam = key, Grid(lo + s, hi + s, 1 << w)",
-     "best, lam = key, Grid(lo - s, hi - s, 1 << w)", ["tests/test_measure.py::TestExponentScan"]),
+    # the best row's A_0 + t is [lo + s, hi + s] / den, shifted by +s, not -s
+    ("measure.py", "best, lam = key, Grid(lo + s, hi + s, den)",
+     "best, lam = key, Grid(lo - s, hi - s, den)", ["tests/test_measure.py::TestExponentScan"]),
+    # the scan tries the floors only, not the integers next to -t on both sides
+    ("measure.py", "for a0 in (-hi // den, -(hi // den), -lo // den, -(lo // den)):",
+     "for a0 in (-hi // den, -lo // den):", ["tests/test_measure.py::TestExponentScan"]),
+    # choose_parameters' L = [lo / qh, hi / ql] / 2^w with log|q1|'s ends swapped
+    ("measure.py", "ql, qh, a = params.log_q1.lo, params.log_q1.hi, params.a_midpoint",
+     "ql, qh, a = params.log_q1.hi, params.log_q1.lo, params.a_midpoint",
+     ["tests/test_measure.py::TestIntegerPaths::test_choose_parameters_at_an_exact_threshold"]),
 ]
 
 

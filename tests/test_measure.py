@@ -24,7 +24,7 @@ from qforms import (
     validate_spec,
 )
 from qforms import measure
-from qforms.enclosure import Enclosure, log_enclosure
+from qforms.enclosure import Enclosure, log_enclosure, sqrt_enclosure
 from qforms.forms import LinearForm, evaluate_exact, w_form
 from qforms.series import Grid, evaluate_form, lambda_grid, omega_from_vector
 
@@ -262,15 +262,22 @@ def test_ceil_sqrt(x):
         assert F((k - 1) * (k - 1)) < x
 
 
+def _log_q1(spec):
+    """log|q1| to 64 bits, the unit of L."""
+    return log_enclosure(abs(spec.q_num), 64)
+
+
 def _old_a(spec, params):
-    return (1 - params.M * params.gamma) * F(1, spec.d) * spec.a_root
+    ds = spec.d * spec.S
+    root = sqrt_enclosure(ds * ds + (1 - spec.eps0) * ds + F(spec.eps0 ** 2, 4), 96)
+    return (1 - params.M * params.gamma) * F(1, spec.d) * root
 
 
 def _old_choose_parameters(spec, params, H, a=None):
     """choose_parameters as it was before the constants moved onto
     MeasureParams: every Fraction recomputed from params on each call
     (a search over H may pass in _old_a, a function of params alone)."""
-    L = log_enclosure(H, 64) / spec.log_q1
+    L = log_enclosure(H, 64) / _log_q1(spec)
     if a is None:
         a = _old_a(spec, params)
     l = max(1, _ceil_sqrt(L.midpoint / a.midpoint))
@@ -336,7 +343,7 @@ class TestIntegerPaths:
         for fx in "ABC":
             spec = all_fixtures[fx]
             params = measure_params(spec, 64)
-            L = log_enclosure(H, 64) / spec.log_q1
+            L = log_enclosure(H, 64) / _log_q1(spec)
             for k in (1, 3, 40):
                 for delta, l in ((F(1, 1 << 200), k + 1), (0, k), (-F(1, 1 << 200), k)):
                     tuned = dataclasses.replace(params, a_midpoint=L.midpoint / (k * k + delta))

@@ -20,6 +20,7 @@ from qforms import (
     measure_params,
     validate_spec,
 )
+from qforms import problem
 from qforms.errors import InvalidSpec
 from qforms.problem import q_power_exponent
 
@@ -315,6 +316,22 @@ class TestMeasureParams:
         ds = F(spec.d * spec.S)
         shifted = params.M - (ds + F(1, 2))
         assert (shifted * shifted).contains(ds * ds + F(1, 4))
+
+    @pytest.mark.parametrize("q_num,q_den,bits,last", [(3, 1, 8, 8), (68, 5, 4, 16)])
+    def test_each_rung_is_enclosed_once(self, monkeypatch, q_num, q_den, bits, last):
+        # the mu climb starts at the separating rung and must reuse its gamma
+        # and M; at q = 68/5 the separating test itself climbs 4 -> 8 -> 16
+        spec = validate_spec(q_num, q_den, [0, 1], [(F(1), 1)])
+        rungs = []
+
+        def counted(spec, precision_bits):
+            rungs.append(precision_bits)
+            return gamma_enclosure(spec, precision_bits)
+
+        monkeypatch.setattr(problem, "gamma_enclosure", counted)
+        params = measure_params(spec, bits)
+        assert params.applicable and params.precision_bits == last
+        assert last in rungs and len(rungs) == len(set(rungs)), rungs
 
 
 class TestClearingDenominator:

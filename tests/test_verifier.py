@@ -1,5 +1,6 @@
 """Identity suite, bounds report, non-vanishing scan."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -16,7 +17,7 @@ from qforms import (
     validate_spec,
 )
 from qforms.enclosure import log_enclosure
-from qforms.forms import OperatorPoly, expand_shift_factors, u_form, v_form
+from qforms.forms import expand_shift_factors, u_form, v_form
 from qforms.verifier import log_of_enclosure
 
 
@@ -49,6 +50,11 @@ class TestCheckIdentities:
         assert not rec.passed
         assert rec.counterexample["n"] == 1
         assert "lhs" in rec.counterexample and "rhs" in rec.counterexample
+        # the report a CLI run writes carries the witness too
+        written = json.loads(json.dumps(report.to_json()))
+        rec_json = next(c for c in written["checks"] if c["name"] == "recurrence")
+        assert rec_json["counterexample"]["n"] == 1
+        assert {"n", "lhs", "rhs"} <= set(rec_json["counterexample"])
         # the operator and residual checks read the planted sequence too
         assert not by_name["main_relation"].passed
         assert not by_name["functional_equation"].passed
@@ -113,7 +119,7 @@ class TestCheckIdentities:
         base = request.getfixturevalue(fixture)
         spec = validate_spec(base.q_num, base.q_den, list(base.P.coefficients), list(base.points))
         factors = self.wrong_factors(spec, wrong)
-        spec.operator_polys[(spec.d, 0)] = OperatorPoly(0, spec.d, expand_shift_factors(factors))
+        spec.operator_polys[(spec.d, 0)] = expand_shift_factors(factors)
 
         report = check_identities(spec, n_max=10, series_N=10, omega_count=1)
         by_name = {c.name: c for c in report.checks}
