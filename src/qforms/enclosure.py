@@ -2,8 +2,7 @@
 
 All field operations on intervals with Fraction endpoints are exact, so no
 rounding is involved there; outward rounding enters only through the dyadic
-transcendental kernels (`log_enclosure`, `sqrt_enclosure`). No code in the
-package calls `Enclosure.outward_round`.
+transcendental kernels (`log_enclosure`, `sqrt_enclosure`).
 
 The logarithm kernel is self-contained, deterministic and runs on
 integers only. x = a/b is reduced by shifts to m = x / 2^e in [1, 2), m is
@@ -29,11 +28,6 @@ from functools import lru_cache
 from typing import Union
 
 ScalarLike = Union[Fraction, int]
-
-
-def floor_to_grid(x: Fraction, bits: int) -> Fraction:
-    """Largest multiple of 2^-bits that is <= x."""
-    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
 
 
 def ceil_to_grid(x: Fraction, bits: int) -> Fraction:
@@ -76,18 +70,6 @@ class Enclosure:
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def contains(self, x: ScalarLike) -> bool:
-        return self.lo <= x <= self.hi
-
-    def contains_enclosure(self, other: "Enclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def excludes_zero(self) -> bool:
-        return self.lo > 0 or self.hi < 0
-
-    def is_negative(self) -> bool:
-        return self.hi < 0
 
     # -- arithmetic (exact, hence outward by construction) -----------------
 
@@ -150,10 +132,6 @@ class Enclosure:
         if self.hi <= 0:
             return -self
         return Enclosure(Fraction(0), max(-self.lo, self.hi))
-
-    def outward_round(self, bits: int) -> "Enclosure":
-        """Push endpoints outward onto the dyadic grid of spacing 2^-bits."""
-        return Enclosure(floor_to_grid(self.lo, bits), ceil_to_grid(self.hi, bits))
 
     # -- serialization -----------------------------------------------------
 

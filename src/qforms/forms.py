@@ -8,7 +8,7 @@ is not reduced against them: sum_i nums[i] x_i / den. Sums take one gcd of
 the two denominators, scaling multiplies numerators and denominator, and an
 evaluation is one integer dot product with the numerators that `over_lcm`
 gives a rational vector over its least common denominator, the package's
-one such reduction. Only `coeffs`, `x0` and `evaluate_exact` reduce, to the
+one such reduction. Only `coeffs` and `evaluate_exact` reduce, to the
 same Fractions a rational form would hold.
 
 v_n is kept over the known denominator D^n q2^(d n (n+1)/2), where the
@@ -60,10 +60,6 @@ class LinearForm:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(a, self.den) for a in self.nums)
-
-    @property
-    def x0(self) -> Fraction:
-        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other) -> bool:
         """Cross-multiplied: equal forms over different denominators compare equal."""

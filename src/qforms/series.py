@@ -134,7 +134,7 @@ def _series_grid(spec: ProblemSpec, j: int, k: int, sigma: int, precision_bits: 
 def f_derivative_enclosure(spec: ProblemSpec, j: int, k: int, sigma: int,
                            precision_bits: int) -> Enclosure:
     """Enclosure of f^(sigma)(alpha_j q^k), width <= 2^-precision_bits."""
-    if not (1 <= j <= spec.m and 0 <= k < spec.d and 0 <= sigma < spec.points[j - 1][1]):
+    if (j, k, sigma) not in spec.var_indices:
         raise ValueError(f"(j, k, sigma) = ({j}, {k}, {sigma}) outside the value slots")
     return _series_grid(spec, j, k, sigma, precision_bits).enclosure()
 

@@ -169,4 +169,14 @@ def reference_series_enclosure(spec, j: int, k: int, sigma: int, precision_bits:
             raise PrecisionCapExceeded(
                 f"series for f^({sigma}) at alpha_{j} q^{k} did not localize"
             )
-    return Enclosure(total - tail, total + tail).outward_round(precision_bits + 2)
+    return outward_round(Enclosure(total - tail, total + tail), precision_bits + 2)
+
+
+def outward_round(enc: Enclosure, bits: int) -> Enclosure:
+    """enc with its ends pushed outward onto the grid 2^-bits: the low end
+    floored, the high end ceiled; an end already on the grid stays."""
+    lo, hi = enc.lo, enc.hi
+    return Enclosure(
+        F((lo.numerator << bits) // lo.denominator, 1 << bits),
+        F(-((-hi.numerator << bits) // hi.denominator), 1 << bits),
+    )

@@ -36,6 +36,18 @@ FORM_AT_OMEGA = [
     "tests/test_series.py::TestEvaluateForm::test_matches_the_enclosure_formula",
     "tests/test_measure.py::TestIntegerPaths::test_w_at_omega_is_E_minus_c0_t",
 ]
+CHOOSE_PARAMETERS = [
+    "tests/test_measure.py::TestIntegerPaths::test_choose_parameters_matches_the_fraction_formula",
+]
+RESIDUAL = [
+    "tests/test_series.py::TestResidualIntegerPath::test_planted_memo_gives_the_exact_nonzero_residuals",
+    "tests/test_series.py::TestResidualIntegerPath::test_residuals_vanish_and_match_the_reference",
+]
+CORRUPTED_P = [
+    "tests/test_verifier.py::TestCheckIdentities"
+    "::test_mutation_control_fails_recurrence_on_a_corrupted_integer_p",
+]
+Q_POWER_ROOTS = ["tests/test_problem.py::TestValidate::test_planted_q_power_roots"]
 
 MUTANTS = [
     # the kernel's step, a ratio a / b > 0: low end floored, high end ceiled
@@ -87,6 +99,34 @@ MUTANTS = [
     ("measure.py", "ql, qh, a = params.log_q1.lo, params.log_q1.hi, params.a_midpoint",
      "ql, qh, a = params.log_q1.hi, params.log_q1.lo, params.a_midpoint",
      ["tests/test_measure.py::TestIntegerPaths::test_choose_parameters_at_an_exact_threshold"]),
+    # Enclosure division by a positive interval: a nonnegative low end over the
+    # divisor's low end instead of its high one
+    ("enclosure.py", "self.lo / (o.hi if self.lo >= 0 else o.lo),",
+     "self.lo / (o.lo if self.lo >= 0 else o.hi),",
+     ["tests/test_enclosure.py::test_division_by_a_signed_interval_picks_ends_by_sign"]),
+    # n0 = ceil((M - 1).hi l / d) floored
+    ("measure.py", "max(-(-slope.numerator * l // slope.denominator), spec.S * l)",
+     "max(slope.numerator * l // slope.denominator, spec.S * l)", CHOOSE_PARAMETERS),
+    # choose_parameters flooring the ceiling it takes the root of
+    ("measure.py", "l = math.isqrt(-(-num // den) - 1) + 1",
+     "l = math.isqrt(max(num // den - 1, 0)) + 1", CHOOSE_PARAMETERS),
+    # the residual without the lcm widening of a memo entry over another denominator
+    ("series.py", "if form.den != den:", "if False:", RESIDUAL),
+    # the residual dropping e_prev, the previous degree's widening, from its denominator
+    ("series.py", "Fraction(r, den * b * e * e_prev)", "Fraction(r, den * b * e)", RESIDUAL),
+    # the residual stepping z_i^(n - sigma) one degree early
+    ("series.py", "h * z if n > sigma else h", "h * z if n >= sigma else h", RESIDUAL),
+    # the residual reading c(n) from the p_terms walk that v_form reads
+    ("series.py", "c = sum(terms)", "c = sum(next(spec.p_terms(n)))", CORRUPTED_P),
+    # validate_spec's root test stopping one n short
+    ("problem.py", "if c % q1 ** n:", "if c % q1 ** (n + 1):", Q_POWER_ROOTS),
+    # validate_spec's root test reading the leading coefficient, not the lowest
+    ("problem.py", "c = next(t for t in next(walk) if t)",
+     "c = next(t for t in reversed(next(walk)) if t)", Q_POWER_ROOTS),
+    # the recurrence check multiplying by the walk's own P(q^n), not the rational one
+    ("verifier.py", "v_form(spec, n - 1).scale(spec.P(spec.q ** n))",
+     "v_form(spec, n - 1).scale(Fraction(sum(next(spec.p_terms(n))), "
+     "spec.clearing_D * spec.q_den ** (spec.d * n)))", CORRUPTED_P),
 ]
 
 

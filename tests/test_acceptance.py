@@ -135,9 +135,14 @@ def test_criterion_06_functional_equation(all_fixtures):
 def test_criterion_07_certificates(fix_a, fix_b):
     started = time.perf_counter()
     policy = PrecisionPolicy(512)
+    # the true value is the oracle's 200-term sum f plus a positive tail: for
+    # q = 2 and P in {z, 1 + z}, |P(2^i)| >= 2^i, so term n is at most
+    # 2^(-n(n+1)/2) and the tail past 200 terms is below 2^(1-201*202/2) < 2^-20000
     count = 0
     for spec, tag in ((fix_a, "A"), (fix_b, "B")):
         params = measure_params(spec, 64)
+        f = oracle_f_sigma(spec, 1, 0, 0)
+        fn, fd = f.numerator, f.denominator
         for a0 in range(-50, 51):
             for a1 in range(-50, 51):
                 if a0 == 0 and a1 == 0:
@@ -150,6 +155,12 @@ def test_criterion_07_certificates(fix_a, fix_b):
                 # endpoint witnesses desk-scale linear independence
                 assert cert.cross_check.lo > 0, (tag, a0, a1)
                 assert cert.bound <= cert.cross_check.lo, (tag, a0, a1)
+                # independently of the package's series kernel,
+                # bound <= |a0 + a1 f| - |a1| 2^-20000, times bd fd 2^20000
+                bn, bd = cert.bound.numerator, cert.bound.denominator
+                assert (bn * fd << 20000) + abs(a1) * bd * fd <= (
+                    abs(a0 * fd + a1 * fn) * bd << 20000
+                ), (tag, a0, a1)
                 count += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 600, f"certificate grid took {elapsed:.1f}s"

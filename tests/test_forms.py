@@ -250,7 +250,7 @@ class TestLinearFormArithmetic:
             vec = [F(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(dim)]
 
             assert f.coeffs == fo
-            assert f.x0 == fo[0]
+            assert f.coeffs[0] == fo[0]
             assert f == f_scaled and f_scaled.coeffs == fo
             assert hash(f) == hash(f_scaled)
             assert (f == g) == (fo == go)

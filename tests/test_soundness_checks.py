@@ -92,6 +92,42 @@ def test_every_identity_check_reads_the_spec():
     assert {name: arg for name, arg in firsts.items() if arg != "spec"} == {}
 
 
+def test_every_public_name_is_read_in_the_package_or_exported():
+    # a public function or class member that no module reads and __all__
+    # does not export is API that only tests keep alive
+    import qforms
+
+    defined, read = [], set()
+    for path in sorted((SRC / "qforms").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((node.name, f"{path.stem}.{node.name}"))
+            elif isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef):
+                        names = [member.name]
+                    elif isinstance(member, ast.AnnAssign):
+                        names = [member.target.id]
+                    elif isinstance(member, ast.Assign):
+                        names = [t.id for t in member.targets if isinstance(t, ast.Name)]
+                    else:
+                        names = []
+                    defined += [(name, f"{path.stem}.{node.name}.{name}") for name in names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.asname or node.name)
+    unread = [
+        where for name, where in defined
+        if not name.startswith("_") and name not in read and name not in qforms.__all__
+    ]
+    assert unread == [], f"public names nothing in src/qforms reads: {unread}"
+
+
 def test_every_mutant_record_applies_once_and_names_existing_tests():
     # tests/mutants.py plants each fault by one text substitution; a record
     # whose old text moved or multiplied, or whose tests were renamed, would
